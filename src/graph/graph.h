@@ -18,11 +18,18 @@ inline constexpr NodeId kInvalidNode = -1;
 /// `size_bytes` is s_i: memory required to keep the node's output resident.
 /// `speedup_score` is t_i: estimated end-to-end seconds saved by flagging
 /// the node (keeping its output in the Memory Catalog).
+/// `disk_bytes` is the size of the node's materialized file on external
+/// storage; disk read/write costs are priced from it (DiskBytes()).
 /// `compute_seconds` and `base_input_bytes` are execution metadata used by
 /// the simulator / engine, not by the optimizer itself.
 struct NodeInfo {
   std::string name;
   std::int64_t size_bytes = 0;
+  /// Bytes of the node's warehouse file, as profiled; 0 when unknown
+  /// (modelled workloads), in which case DiskBytes() falls back to
+  /// size_bytes. A compressed warehouse file is usually far smaller
+  /// than the resident table.
+  std::int64_t disk_bytes = 0;
   double speedup_score = 0.0;
   double compute_seconds = 0.0;
   /// Bytes read from base tables (inputs that are not parent MVs).
@@ -31,6 +38,11 @@ struct NodeInfo {
   /// (scales the per-table open/commit overheads of the cost model;
   /// larger tables split into more files on warehouse storage).
   double file_count = 1.0;
+
+  /// Bytes a disk read or write of this node's output moves.
+  std::int64_t DiskBytes() const {
+    return disk_bytes > 0 ? disk_bytes : size_bytes;
+  }
 };
 
 /// Directed acyclic dependency graph of an MV refresh run (paper §IV).

@@ -13,6 +13,7 @@ namespace sc::graph {
 ///
 ///   # comment
 ///   node <name> <size_bytes> <speedup_score> <compute_seconds> <input_bytes>
+///        <file_count> <disk_bytes>
 ///   edge <from_name> <to_name>
 ///
 /// Fields after <name> are optional (default 0). Unknown directives are an

@@ -451,12 +451,16 @@ TraceAnalysis AnalyzeTrace(const std::vector<TraceEvent>& events) {
   if (events.empty()) return analysis;
   double min_start = events.front().start_seconds;
   double max_end = min_start;
+  // Spans nest on a track (job > node > operator), so busy time is the
+  // union of each track's intervals, never the sum of their durations.
+  std::map<std::string, std::vector<std::pair<double, double>>> intervals;
   for (const TraceEvent& event : events) {
     min_start = std::min(min_start, event.start_seconds);
     max_end = std::max(max_end, event.start_seconds + event.dur_seconds);
     ++analysis.category_counts[event.category];
     if (!event.instant) {
-      analysis.track_busy_seconds[event.track] += event.dur_seconds;
+      intervals[event.track].emplace_back(
+          event.start_seconds, event.start_seconds + event.dur_seconds);
     }
     double job = 0.0;
     const bool has_job =
@@ -490,6 +494,20 @@ TraceAnalysis AnalyzeTrace(const std::vector<TraceEvent>& events) {
     }
   }
   analysis.wall_seconds = max_end - min_start;
+  for (auto& [track, spans] : intervals) {
+    std::sort(spans.begin(), spans.end());
+    double busy = 0.0;
+    double run_start = spans.front().first;
+    double run_end = spans.front().second;
+    for (const auto& [start, end] : spans) {
+      if (start > run_end) {
+        busy += run_end - run_start;
+        run_start = start;
+      }
+      run_end = std::max(run_end, end);
+    }
+    analysis.track_busy_seconds[track] = busy + (run_end - run_start);
+  }
   std::stable_sort(analysis.longest_nodes.begin(),
                    analysis.longest_nodes.end(),
                    [](const NodeSpanInfo& a, const NodeSpanInfo& b) {

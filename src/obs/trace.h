@@ -153,8 +153,9 @@ struct NodeSpanInfo {
   double dur_seconds = 0.0;
 };
 
-/// Aggregate view of one trace: wall span, per-track busy time (lane
-/// utilization = busy / wall on lane-* tracks), span counts per
+/// Aggregate view of one trace: wall span, per-track busy time (the
+/// union of the track's span intervals, so nested spans count once and
+/// utilization = busy / wall never exceeds 1), span counts per
 /// category, per-job queued / waiting-budget / executing / publishing
 /// breakdown, and the longest node executions (the critical-path
 /// suspects on a saturated run).

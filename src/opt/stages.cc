@@ -85,14 +85,14 @@ std::vector<double> EstimateNodeSeconds(const graph::Graph& g,
       std::int64_t read_bytes = std::max<std::int64_t>(
           0, info.base_input_bytes);
       for (const graph::NodeId p : g.parents(v)) {
-        read_bytes += std::max<std::int64_t>(0, g.node(p).size_bytes);
+        read_bytes += std::max<std::int64_t>(0, g.node(p).DiskBytes());
       }
       const bool flagged = static_cast<std::size_t>(v) < flags.size() &&
                            flags[static_cast<std::size_t>(v)];
       // Flagged outputs enter the Memory Catalog and write in the
       // background — only unflagged nodes block the lane on the write.
       const std::int64_t write_bytes =
-          flagged ? 0 : std::max<std::int64_t>(0, info.size_bytes);
+          flagged ? 0 : std::max<std::int64_t>(0, info.DiskBytes());
       est = model.NodeExecSeconds(info.compute_seconds, read_bytes,
                                   write_bytes, info.file_count);
     }

@@ -357,39 +357,34 @@ struct NodeResult {
   bool reused_durable = false;
 };
 
-/// Compressed columnar residency (ControllerOptions::compress_residency):
-/// dictionary-encodes the plain string columns of a node output before
-/// it enters residency accounting, keeping an encoding only when it is
-/// actually smaller (an all-unique column stays plain). Downstream
-/// consumers see the same logical values — operators, Table::operator==,
-/// and the SCT1 disk format are representation-agnostic — while ByteSize
-/// drops, so budgets, grants, and profiled output sizes all shrink.
-engine::TablePtr CompressResidency(engine::TablePtr table) {
-  bool candidate = false;
+/// Residency representation (ControllerOptions::compress_residency),
+/// applied to every node output before it enters residency accounting.
+/// On: plain string columns are dictionary-encoded, keeping an encoding
+/// only when it is actually smaller (an all-unique column stays plain).
+/// Off: dictionary columns are decoded to plain — SCC1 warehouse reads
+/// return encoded columns and operators carry them into their outputs,
+/// so without this "off" would not be the plain-string baseline.
+/// Downstream consumers see the same logical values — operators,
+/// Table::operator==, and both disk formats are representation-agnostic
+/// — while ByteSize moves, so budgets, grants, and profiled output sizes
+/// follow the chosen representation.
+engine::TablePtr ApplyResidency(engine::TablePtr table, bool compress) {
+  std::shared_ptr<engine::Table> converted;
   for (std::size_t i = 0; i < table->num_columns(); ++i) {
     const engine::Column& col = table->column(i);
-    if (col.type() == engine::DataType::kString &&
-        !col.dictionary_encoded()) {
-      candidate = true;
-      break;
-    }
-  }
-  if (!candidate) return table;
-  auto compressed = std::make_shared<engine::Table>(*table);
-  bool changed = false;
-  for (std::size_t i = 0; i < compressed->num_columns(); ++i) {
-    engine::Column& col = compressed->mutable_column(i);
     if (col.type() != engine::DataType::kString ||
-        col.dictionary_encoded()) {
+        col.dictionary_encoded() == compress) {
       continue;
     }
-    engine::Column encoded = col.DictionaryEncode();
-    if (encoded.ByteSize() < col.ByteSize()) {
-      col = std::move(encoded);
-      changed = true;
+    engine::Column replacement =
+        compress ? col.DictionaryEncode() : col.DecodeDictionary();
+    if (compress && replacement.ByteSize() >= col.ByteSize()) continue;
+    if (converted == nullptr) {
+      converted = std::make_shared<engine::Table>(*table);
     }
+    converted->mutable_column(i) = std::move(replacement);
   }
-  return changed ? std::move(compressed) : std::move(table);
+  return converted != nullptr ? std::move(converted) : std::move(table);
 }
 
 /// Executes node `v`'s plan, resolving inputs through the Memory Catalog
@@ -522,9 +517,8 @@ NodeResult ExecuteNode(RunState& s, graph::NodeId v,
         result.output = std::make_shared<engine::Table>(
             engine::ExecutePlan(*s.wl.plans[v], resolver));
       }
-      if (s.options.compress_residency) {
-        result.output = CompressResidency(std::move(result.output));
-      }
+      result.output = ApplyResidency(std::move(result.output),
+                                     s.options.compress_residency);
       const double exec_seconds = MonotonicSeconds() - exec_start;
       stats.read_seconds = read_seconds;
       stats.compute_seconds = std::max(0.0, exec_seconds - read_seconds);
@@ -1079,17 +1073,26 @@ RunReport Controller::ProfileAndAnnotate(workload::MvWorkload* wl) {
     auto id = wl->graph.FindByName(stats.name);
     graph::NodeInfo& info = wl->graph.mutable_node(*id);
     info.size_bytes = stats.output_bytes;
+    // Every node of the unoptimized run wrote its file.
+    info.disk_bytes = std::max<std::int64_t>(0, disk_->FileSize(stats.name));
     info.compute_seconds = stats.compute_seconds;
-    // Approximate base input volume from observed read time and the disk
-    // profile (reads of parent MVs are also disk reads in the unoptimized
-    // run; subtract their known sizes).
-    const double bw = disk_->profile().read_bw;
+    // Approximate base input volume by inverting the cost model's read
+    // charge over the observed read time: in the unoptimized run every
+    // parent is a disk read costing one access latency plus its file at
+    // read bandwidth, and the base inputs cost one more latency plus
+    // their bytes. What remains after those charges is base-table file
+    // volume (reads are padded for on-disk bytes); further base-table
+    // accesses fold in as equivalent bytes, so the simulated unoptimized
+    // read time reproduces the measured one.
+    const storage::DiskProfile& dp = disk_->profile();
     std::int64_t parent_bytes = 0;
     for (graph::NodeId p : wl->graph.parents(*id)) {
-      parent_bytes += wl->graph.node(p).size_bytes;
+      parent_bytes += wl->graph.node(p).DiskBytes();
     }
+    const double charged_latency =
+        static_cast<double>(wl->graph.parents(*id).size() + 1) * dp.latency;
     const std::int64_t observed = static_cast<std::int64_t>(
-        stats.read_seconds * bw);
+        std::max(0.0, stats.read_seconds - charged_latency) * dp.read_bw);
     info.base_input_bytes = std::max<std::int64_t>(0,
                                                    observed - parent_bytes);
   }

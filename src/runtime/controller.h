@@ -184,12 +184,14 @@ struct ControllerOptions {
   /// columns dictionary-encoded (engine::Column::DictionaryEncode)
   /// before they enter residency accounting, whenever the encoding is
   /// actually smaller (all-unique strings stay plain). Representation is
-  /// invisible to consumers — Table::operator== and the SCT1 disk format
+  /// invisible to consumers — Table::operator== and the disk formats
   /// are representation-agnostic, and every operator accepts encoded
   /// inputs — but the smaller ByteSize is what the Memory Catalog, the
   /// cross-job SharedCatalog, and the profiled NodeScale (hence the
   /// knapsack optimizer) see, so string-heavy workloads pack more MVs
-  /// per byte of budget. Off reproduces the pre-compression footprints.
+  /// per byte of budget. Off keeps outputs plain — dictionary columns
+  /// that arrive from SCC1 warehouse reads are decoded — reproducing the
+  /// pre-compression footprints.
   bool compress_residency = true;
   /// Applies the opt::WidenStagesPrefix post-pass to the plan before
   /// executing: reorders the total order stage-major among

@@ -11,6 +11,7 @@ std::uint64_t FingerprintGraph(const graph::Graph& g) {
     const graph::NodeInfo& info = g.node(v);
     FnvMixString(&h, info.name);
     FnvMixInt(&h, info.size_bytes);
+    FnvMixInt(&h, info.disk_bytes);
     FnvMixDouble(&h, info.speedup_score);
     FnvMixDouble(&h, info.compute_seconds);
     FnvMixInt(&h, info.base_input_bytes);

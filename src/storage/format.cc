@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "common/crc32c.h"
@@ -356,14 +357,11 @@ std::int64_t WriteTable(const engine::Table& table, std::ostream& out) {
   return sink.bytes();
 }
 
-engine::Table ReadTable(std::istream& in, const ReadOptions& options) {
-  CrcSource source(in, options.verify_checksums, "SCT1");
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw CorruptFileError("SCT1: bad magic");
-  }
-  source.FoldCrc(magic, sizeof(magic));
+namespace {
+
+/// SCT1 body: everything after the magic, which the caller matched and
+/// folded into `source`.
+engine::Table ReadPlainBody(CrcSource& source) {
   const auto num_cols = source.ReadRaw<std::uint32_t>("column count");
   if (num_cols > kMaxColumns) {
     throw CorruptFileError("SCT1: column count exceeds sanity cap");
@@ -430,6 +428,24 @@ engine::Table ReadTable(std::istream& in, const ReadOptions& options) {
   ReadFooter(source, num_rows, num_cols, kFooterMagic);
   return engine::Table(engine::Schema(std::move(fields)),
                        std::move(columns));
+}
+
+engine::Table ReadCompressedBody(CrcSource& source);
+
+}  // namespace
+
+engine::Table ReadTable(std::istream& in, const ReadOptions& options) {
+  char magic[4];
+  in.read(magic, sizeof(magic));
+  const bool compressed =
+      in && std::memcmp(magic, kMagicCompressed, sizeof(magic)) == 0;
+  if (!compressed && (!in || std::memcmp(magic, kMagic, sizeof(magic)) != 0)) {
+    throw CorruptFileError("bad magic: neither SCT1 nor SCC1");
+  }
+  CrcSource source(in, options.verify_checksums,
+                   compressed ? "SCC1" : "SCT1");
+  source.FoldCrc(magic, sizeof(magic));
+  return compressed ? ReadCompressedBody(source) : ReadPlainBody(source);
 }
 
 std::int64_t SerializedSize(const engine::Table& table) {
@@ -515,17 +531,31 @@ std::int64_t WriteTableCompressed(const engine::Table& table,
         // Dictionary page. Plain columns are encoded on the fly, so a
         // spilled plain MV refills compressed.
         sink.WriteRaw<std::uint8_t>(kEncDict);
-        const engine::Column encoded =
-            col.dictionary_encoded() ? col : col.DictionaryEncode();
+        std::optional<engine::Column> fresh;
+        if (!col.dictionary_encoded()) fresh.emplace(col.DictionaryEncode());
+        const engine::Column& encoded = fresh ? *fresh : col;
         const engine::Column::Dictionary& dict = *encoded.dictionary();
-        PutVarint(&buf, dict.size());
-        for (const std::string& s : dict) {
-          PutVarint(&buf, s.size());
-          buf.append(s);
+        // Canonical page: only the entries some row uses, renumbered in
+        // (sorted) dictionary order. A filtered column that still shares
+        // its source's dictionary then writes the same bytes as its plain
+        // twin, keeping SCC1 representation-independent like SCT1.
+        std::vector<std::int32_t> remap(dict.size(), -1);
+        for (const std::int32_t code : encoded.codes()) {
+          remap[static_cast<std::size_t>(code)] = 0;
+        }
+        std::int32_t used = 0;
+        for (std::int32_t& slot : remap) {
+          if (slot == 0) slot = used++;
+        }
+        PutVarint(&buf, static_cast<std::uint64_t>(used));
+        for (std::size_t i = 0; i < dict.size(); ++i) {
+          if (remap[i] < 0) continue;
+          PutVarint(&buf, dict[i].size());
+          buf.append(dict[i]);
         }
         for (const std::int32_t code : encoded.codes()) {
           PutVarint(&buf, static_cast<std::uint64_t>(
-                              static_cast<std::uint32_t>(code)));
+                              remap[static_cast<std::size_t>(code)]));
         }
         break;
       }
@@ -539,16 +569,11 @@ std::int64_t WriteTableCompressed(const engine::Table& table,
   return sink.bytes();
 }
 
-engine::Table ReadTableCompressed(std::istream& in,
-                                  const ReadOptions& options) {
-  CrcSource source(in, options.verify_checksums, "SCC1");
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in ||
-      std::memcmp(magic, kMagicCompressed, sizeof(kMagicCompressed)) != 0) {
-    throw CorruptFileError("SCC1: bad magic");
-  }
-  source.FoldCrc(magic, sizeof(magic));
+namespace {
+
+/// SCC1 body: everything after the magic, which the caller matched and
+/// folded into `source`.
+engine::Table ReadCompressedBody(CrcSource& source) {
   const auto num_cols = source.ReadRaw<std::uint32_t>("column count");
   if (num_cols > kMaxColumns) {
     throw CorruptFileError("SCC1: column count exceeds sanity cap");
@@ -650,6 +675,21 @@ engine::Table ReadTableCompressed(std::istream& in,
   ReadFooter(source, num_rows, num_cols, kFooterMagicCompressed);
   return engine::Table(engine::Schema(std::move(fields)),
                        std::move(columns));
+}
+
+}  // namespace
+
+engine::Table ReadTableCompressed(std::istream& in,
+                                  const ReadOptions& options) {
+  char magic[4];
+  in.read(magic, sizeof(magic));
+  if (!in ||
+      std::memcmp(magic, kMagicCompressed, sizeof(kMagicCompressed)) != 0) {
+    throw CorruptFileError("SCC1: bad magic");
+  }
+  CrcSource source(in, options.verify_checksums, "SCC1");
+  source.FoldCrc(magic, sizeof(magic));
+  return ReadCompressedBody(source);
 }
 
 std::int64_t WriteTableFileCompressed(const engine::Table& table,

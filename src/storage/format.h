@@ -33,8 +33,9 @@ struct ReadOptions {
   bool verify_checksums = true;
 };
 
-/// Binary columnar table format ("SCT1"): the stand-in for the paper's
-/// Parquet/ORC files on external storage. Layout:
+/// Plain binary columnar table format ("SCT1"): the exchange and
+/// reference encoding (the benchmark's format probe, tests, legacy
+/// warehouses). The warehouse itself stores SCC1 (below). Layout:
 ///
 ///   magic "SCT1" | u32 num_cols | u64 num_rows
 ///   per column: u32 name_len | name | u8 type
@@ -55,8 +56,10 @@ struct ReadOptions {
 /// Serializes `table` to `out`. Returns bytes written.
 std::int64_t WriteTable(const engine::Table& table, std::ostream& out);
 
-/// Deserializes a table from `in`. Throws CorruptFileError on a
-/// malformed, truncated, or (when verifying) corrupted stream. Hostile
+/// Deserializes a table from `in`, sniffing the 4-byte magic: SCT1 and
+/// SCC1 streams both read (SCC1 string columns come back
+/// dictionary-encoded). Throws CorruptFileError on any other magic and
+/// on a malformed, truncated, or (when verifying) corrupted stream. Hostile
 /// length fields never cause over-allocation: payloads are read in
 /// bounded chunks, so memory use is capped by the bytes actually
 /// present plus one chunk.
@@ -66,14 +69,17 @@ engine::Table ReadTable(std::istream& in, const ReadOptions& options = {});
 std::int64_t SerializedSize(const engine::Table& table);
 
 /// File convenience wrappers; throw std::runtime_error on I/O failure
-/// and CorruptFileError on damaged content.
+/// and CorruptFileError on damaged content. WriteTableFile writes SCT1;
+/// ReadTableFile reads either format, like ReadTable.
 std::int64_t WriteTableFile(const engine::Table& table,
                             const std::string& path);
 engine::Table ReadTableFile(const std::string& path,
                             const ReadOptions& options = {});
 
-/// Compressed columnar block format ("SCC1"): what SharedCatalog spill
-/// files use, sized for residency rather than exchange. Layout:
+/// Compressed columnar block format ("SCC1"): the warehouse format — the
+/// stand-in for the paper's dictionary-encoded, compressed Parquet/ORC
+/// files on external storage. ThrottledDisk writes every base table and
+/// MV in it, and SharedCatalog spill files use it too. Layout:
 ///
 ///   magic "SCC1" | u32 num_cols | u64 num_rows
 ///   per column: u32 name_len | name | u8 type | u8 encoding
@@ -87,18 +93,22 @@ engine::Table ReadTableFile(const std::string& path,
 ///   1 for-varint — int64 payload: raw i64 frame minimum, then one
 ///                zig-zag LEB128 varint per value of (v - min). Cold
 ///                surrogate-key/date columns shrink to 1-2 bytes/value.
-///   2 dict     — string payload: u32 dict_size, dictionary entries
-///                (u32 len + bytes, sorted unique), then one LEB128
+///   2 dict     — string payload: varint dict_size, dictionary entries
+///                (varint len + bytes, sorted unique), then one LEB128
 ///                varint code per row. Plain string columns are
 ///                dictionary-encoded on write; the reader always
 ///                returns a dictionary-encoded engine::Column, so a
-///                refilled entry stays compressed in memory too.
+///                refilled entry stays compressed in memory too. The
+///                page is canonical: it holds only the entries some row
+///                uses, so a column and its plain decoding write
+///                identical bytes whatever dictionary they share.
 
 /// Serializes `table` compressed to `out`. Returns bytes written.
 std::int64_t WriteTableCompressed(const engine::Table& table,
                                   std::ostream& out);
 
-/// Deserializes an SCC1 stream. String columns come back
+/// Deserializes an SCC1 stream only (an SCT1 magic is a
+/// CorruptFileError here; ReadTable accepts both). String columns come back
 /// dictionary-encoded. Throws CorruptFileError on a malformed,
 /// truncated, or (when verifying) corrupted stream, with the same
 /// bounded-allocation guarantees as ReadTable.

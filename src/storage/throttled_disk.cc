@@ -101,7 +101,7 @@ std::int64_t ThrottledDisk::WriteTable(const std::string& name,
   const double start = Now();
   std::int64_t bytes = 0;
   try {
-    bytes = WriteTableFile(table, PathFor(name));
+    bytes = WriteTableFileCompressed(table, PathFor(name));
     // Post-write corruption probe: the write "succeeded" but the device
     // lied. Damage the landed file; a verified read must catch it.
     if (injector != nullptr) {
@@ -140,7 +140,9 @@ engine::Table ThrottledDisk::ReadTable(const std::string& name) {
   try {
     table.emplace(ReadTableFile(PathFor(name),
                                 ReadOptions{profile_.verify_reads}));
-    PadToTarget(start, SerializedSize(*table), profile_.read_bw);
+    // Charge the device for the bytes it moved: the file as stored, not
+    // the table's plain SCT1 encoding.
+    PadToTarget(start, FileSize(name), profile_.read_bw);
   } catch (...) {
     ReleaseChannel();
     throw;

@@ -28,7 +28,7 @@ struct DiskProfile {
   /// serving deployments (RefreshService) raise it to match their
   /// worker count.
   int channels = 1;
-  /// Verify SCT1 checksums on every read (the serving default): a
+  /// Verify file checksums on every read (the serving default): a
   /// damaged warehouse file surfaces as storage::CorruptFileError
   /// instead of a garbage table. False skips the checksum arithmetic
   /// (structural bounds checks still apply) — the bench overhead gate
@@ -36,9 +36,12 @@ struct DiskProfile {
   bool verify_reads = true;
 };
 
-/// External storage emulation: persists tables as SCT1 files under a root
-/// directory and pads each operation's wall time to what the configured
-/// device would need (sleeping the remainder after the real I/O). This
+/// External storage emulation: persists tables as compressed SCC1 files
+/// (storage/format.h) under a root directory and pads each operation's
+/// wall time to what the configured device would need for the bytes it
+/// moves — the file as stored, on reads and writes alike — sleeping the
+/// remainder after the real I/O. Reads sniff the magic, so legacy SCT1
+/// files under the root stay readable (and are charged their size). This
 /// stands in for the paper's NFS + Hive warehouse directory so that
 /// read/write short-circuiting produces measurable wall-clock savings at
 /// laptop scale.
@@ -52,12 +55,15 @@ class ThrottledDisk {
  public:
   ThrottledDisk(std::string root_dir, DiskProfile profile);
 
-  /// Persists `table` as `<root>/<name>.sct`; returns bytes written.
-  /// Throws std::runtime_error on I/O failure.
+  /// Persists `table` as SCC1 in `<root>/<name>.sct` (the suffix names
+  /// the warehouse slot, not the encoding); returns bytes written, which
+  /// is also the size the write is padded for. Throws
+  /// std::runtime_error on I/O failure.
   std::int64_t WriteTable(const std::string& name,
                           const engine::Table& table);
 
-  /// Loads `<root>/<name>.sct`. With DiskProfile::verify_reads the read
+  /// Loads `<root>/<name>.sct` (SCC1, or a legacy SCT1 file), padded for
+  /// the file's on-disk size. With DiskProfile::verify_reads the read
   /// is checksum-verified and throws storage::CorruptFileError on any
   /// damage.
   engine::Table ReadTable(const std::string& name);

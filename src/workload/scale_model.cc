@@ -18,6 +18,7 @@ void AnnotateWorkload(MvWorkload* wl, const ScaleModelOptions& options) {
     graph::NodeInfo& info = wl->graph.mutable_node(v);
     info.size_bytes = static_cast<std::int64_t>(
         std::llround(s.out_mb_per_gb * out_mult * gb * kMB));
+    info.disk_bytes = 0;  // modelled: files as large as the output
     info.compute_seconds = s.compute_sec_per_gb * compute_mult * gb;
     info.base_input_bytes = static_cast<std::int64_t>(
         std::llround(s.base_in_mb_per_gb * in_mult * gb * kMB));

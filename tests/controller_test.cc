@@ -4,6 +4,7 @@
 
 #include "opt/optimizer.h"
 #include "runtime/controller.h"
+#include "sim/refresh_sim.h"
 #include "storage/format.h"
 #include "workload/datagen.h"
 #include "workload/workloads.h"
@@ -169,10 +170,44 @@ TEST(ControllerTest, ProfileAnnotatesMetadata) {
   ASSERT_TRUE(controller.ProfileAndAnnotate(&wl).ok);
   bool any_score = false;
   for (graph::NodeId v = 0; v < wl.graph.num_nodes(); ++v) {
-    EXPECT_GT(wl.graph.node(v).size_bytes, 0);
-    if (wl.graph.node(v).speedup_score > 0) any_score = true;
+    const graph::NodeInfo& info = wl.graph.node(v);
+    EXPECT_GT(info.size_bytes, 0);
+    // Disk terms are priced from the warehouse file as stored.
+    EXPECT_EQ(info.disk_bytes, disk.FileSize(info.name)) << info.name;
+    if (info.speedup_score > 0) any_score = true;
   }
   EXPECT_TRUE(any_score);
+}
+
+TEST(ControllerTest, ProfiledReadsReproduceInSimulator) {
+  // The profile inverts the cost model's read charge (one latency plus
+  // the file per parent, one latency plus the bytes for base inputs), so
+  // simulating the unoptimized run charges each node the read time it
+  // was measured at — not one extra latency per access on top.
+  storage::DiskProfile profile;
+  profile.read_bw = 50e6;
+  profile.write_bw = 1e9;
+  // Sleep overshoot on a loaded host stays well under half of this.
+  profile.latency = 10e-3;
+  storage::ThrottledDisk disk(FreshDir("profile_sim"), profile);
+  Controller controller(&disk, ControllerOptions{});
+  controller.LoadBaseTables(TinyData());
+  workload::MvWorkload wl = TinyWorkload();
+  const RunReport report = controller.ProfileAndAnnotate(&wl);
+  ASSERT_TRUE(report.ok);
+  sim::SimOptions options;
+  options.device.disk_read_bw = profile.read_bw;
+  options.device.disk_write_bw = profile.write_bw;
+  options.device.disk_latency = profile.latency;
+  options.device.table_read_overhead = 0.0;
+  options.device.table_write_overhead = 0.0;
+  const sim::RunResult simulated = sim::SimulateNoOpt(wl.graph, options);
+  for (const NodeRunStats& stats : report.nodes) {
+    const graph::NodeId v = *wl.graph.FindByName(stats.name);
+    EXPECT_NEAR(simulated.per_node[static_cast<std::size_t>(v)].read_seconds,
+                stats.read_seconds, 0.5 * profile.latency)
+        << stats.name;
+  }
 }
 
 TEST(ControllerTest, SynchronousMaterializationModeWorks) {

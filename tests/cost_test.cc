@@ -104,6 +104,27 @@ TEST(SpeedupTest, MatchesPaperFormula) {
   EXPECT_NEAR(estimator.ScoreFor(g, a), expected, 1e-12);
 }
 
+TEST(SpeedupTest, DiskTermsPricedFromFileBytes) {
+  // A compressed warehouse file is smaller than the resident table: the
+  // disk read/write terms move the file, the memory terms the table.
+  graph::Graph g;
+  const auto a = g.AddNode("a", 100 * kMB);
+  const auto b = g.AddNode("b", 1);
+  g.AddEdge(a, b);
+  g.mutable_node(a).disk_bytes = 30 * kMB;
+  CostModel model;
+  SpeedupEstimator estimator{model};
+  const std::int64_t s = 100 * kMB;
+  const std::int64_t d = 30 * kMB;
+  const double expected =
+      (model.DiskReadSeconds(d) - model.MemReadSeconds(s)) +
+      (model.DiskWriteSeconds(d) - model.MemWriteSeconds(s));
+  EXPECT_NEAR(estimator.ScoreFor(g, a), expected, 1e-12);
+  // Unknown file size (0) falls back to the resident size.
+  g.mutable_node(a).disk_bytes = 0;
+  EXPECT_EQ(g.node(a).DiskBytes(), s);
+}
+
 TEST(SpeedupTest, AnnotateGraphFillsAllNodes) {
   graph::Graph g = test::RandomDag(25, 3, /*max_size=*/kMB);
   SpeedupEstimator estimator{CostModel{}};

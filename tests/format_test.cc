@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
 #include <random>
 #include <sstream>
 
@@ -73,6 +74,55 @@ TEST(FormatTest, FileRoundTrip) {
   WriteTableFile(t, path);
   const Table loaded = ReadTableFile(path);
   EXPECT_TRUE(loaded == t);
+}
+
+TEST(FormatTest, ReadTableFileSniffsBothMagics) {
+  const Table t = SampleTable();
+  const std::string plain = testing::TempDir() + "/sc_format_sniff_plain.sct";
+  const std::string packed = testing::TempDir() + "/sc_format_sniff_scc.sct";
+  WriteTableFile(t, plain);
+  WriteTableFileCompressed(t, packed);
+  EXPECT_TRUE(ReadTableFile(plain) == t);
+  EXPECT_TRUE(ReadTableFile(packed) == t);
+  // SCC1 string columns come back dictionary-encoded.
+  EXPECT_TRUE(ReadTableFile(packed).column(2).dictionary_encoded());
+
+  // Any other magic is corruption, through the file and stream readers.
+  const std::string bad = testing::TempDir() + "/sc_format_sniff_bad.sct";
+  {
+    std::ofstream out(bad, std::ios::binary | std::ios::trunc);
+    out << "SCX1 not a table";
+  }
+  EXPECT_THROW(ReadTableFile(bad), CorruptFileError);
+  std::stringstream short_stream("SC");
+  EXPECT_THROW(ReadTable(short_stream), CorruptFileError);
+}
+
+TEST(FormatTest, CompressedDictionaryPageIsCanonical) {
+  // A filtered dictionary column still shares its source's whole
+  // dictionary; SCC1 writes only the entries in use, so it serializes to
+  // the same bytes as its plain twin.
+  const Column source = Column::FromStrings({"apple", "kiwi", "pear", "fig",
+                                             "plum", "kiwi", "date"})
+                            .DictionaryEncode();
+  Column filtered(DataType::kString);
+  filtered.GatherFrom(source, {1, 4, 5});
+  ASSERT_TRUE(filtered.dictionary_encoded());
+  ASSERT_EQ(filtered.dictionary()->size(), 6u);
+  const Column plain = Column::FromStrings({"kiwi", "plum", "kiwi"});
+  auto table_of = [](Column col) {
+    std::vector<Column> cols;
+    cols.push_back(std::move(col));
+    return Table(Schema({Field{"s", DataType::kString}}), std::move(cols));
+  };
+  std::stringstream from_filtered;
+  std::stringstream from_plain;
+  WriteTableCompressed(table_of(filtered), from_filtered);
+  WriteTableCompressed(table_of(plain), from_plain);
+  EXPECT_EQ(from_filtered.str(), from_plain.str());
+  const Table back = ReadTableCompressed(from_filtered);
+  EXPECT_TRUE(back == table_of(plain));
+  EXPECT_EQ(back.column(0).dictionary()->size(), 2u);
 }
 
 TEST(FormatTest, MissingFileThrows) {

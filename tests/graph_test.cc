@@ -180,7 +180,8 @@ TEST(DotTest, RendersNodesAndEdges) {
 }
 
 TEST(SerdeTest, RoundTrip) {
-  const Graph g = test::Figure7Graph();
+  Graph g = test::Figure7Graph();
+  g.mutable_node(0).disk_bytes = 12345;  // profiled warehouse file size
   Graph parsed;
   std::string error;
   ASSERT_TRUE(Deserialize(Serialize(g), &parsed, &error)) << error;
@@ -189,6 +190,7 @@ TEST(SerdeTest, RoundTrip) {
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     EXPECT_EQ(parsed.node(v).name, g.node(v).name);
     EXPECT_EQ(parsed.node(v).size_bytes, g.node(v).size_bytes);
+    EXPECT_EQ(parsed.node(v).disk_bytes, g.node(v).disk_bytes);
     EXPECT_DOUBLE_EQ(parsed.node(v).speedup_score, g.node(v).speedup_score);
     EXPECT_EQ(parsed.children(v), g.children(v));
   }

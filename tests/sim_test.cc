@@ -112,6 +112,28 @@ TEST(RefreshSimTest, BackgroundWritesOverlapButCountInMakespan) {
             model.DiskReadSeconds(500 * kMB));
 }
 
+TEST(RefreshSimTest, DiskTermsMoveFileBytes) {
+  // Unflagged producer and consumer: the write, the consumer's read of
+  // it, and the makespan are priced from the file size, while residency
+  // (none here) would be charged size_bytes.
+  graph::Graph g;
+  const auto a = g.AddNode("a", 500 * kMB, 1.0);
+  const auto b = g.AddNode("b", kMB, 1.0);
+  g.AddEdge(a, b);
+  g.mutable_node(a).disk_bytes = 100 * kMB;
+  SimOptions options = DefaultOptions(kGB);
+  options.device.table_read_overhead = 0.0;
+  options.device.table_write_overhead = 0.0;
+  const RunResult run = SimulateNoOpt(g, options);
+  const cost::CostModel model(options.device);
+  EXPECT_NEAR(run.per_node[a].write_seconds,
+              model.DiskWriteSeconds(100 * kMB), 1e-12);
+  EXPECT_NEAR(run.per_node[b].read_seconds,
+              model.DiskReadSeconds(100 * kMB), 1e-12);
+  const RunResult lru = SimulateLruBaseline(g, 0, options);
+  EXPECT_NEAR(lru.makespan, run.makespan, 1e-9);
+}
+
 TEST(RefreshSimTest, SynchronousMaterializationSlower) {
   const graph::Graph g = MbGraph();
   SimOptions background = DefaultOptions(4 * kGB);

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <thread>
 
+#include "storage/format.h"
 #include "storage/throttled_disk.h"
 
 namespace sc::storage {
@@ -30,9 +31,10 @@ TEST(ThrottledDiskTest, WriteReadRoundTrip) {
   ThrottledDisk disk(testing::TempDir() + "/sc_disk_rt", FastProfile());
   const Table t = SmallTable();
   const std::int64_t bytes = disk.WriteTable("t1", t);
-  EXPECT_GT(bytes, 8000);
   EXPECT_TRUE(disk.Exists("t1"));
   EXPECT_EQ(disk.FileSize("t1"), bytes);
+  // The warehouse stores SCC1: smaller than the plain SCT1 encoding.
+  EXPECT_LT(bytes, SerializedSize(t));
   const Table loaded = disk.ReadTable("t1");
   EXPECT_TRUE(loaded == t);
 }
@@ -47,21 +49,65 @@ TEST(ThrottledDiskTest, RemoveAndMissing) {
   disk.Remove("t");  // idempotent
 }
 
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
 TEST(ThrottledDiskTest, ThrottlePadsDuration) {
-  // 8KB at 100 KB/s -> at least ~80ms.
+  // A write is padded for the bytes it returns (~1 KB of SCC1 at
+  // 20 KB/s -> ~50ms).
   DiskProfile slow;
-  slow.write_bw = 100e3;
-  slow.read_bw = 100e3;
+  slow.write_bw = 20e3;
+  slow.read_bw = 20e3;
   slow.latency = 0;
   slow.throttle = true;
   ThrottledDisk disk(testing::TempDir() + "/sc_disk_slow", slow);
   const auto start = std::chrono::steady_clock::now();
-  disk.WriteTable("t", SmallTable());
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  EXPECT_GT(elapsed, 0.05);
-  EXPECT_GT(disk.total_write_seconds(), 0.05);
+  const std::int64_t bytes = disk.WriteTable("t", SmallTable());
+  const double elapsed = SecondsSince(start);
+  const double target = static_cast<double>(bytes) / slow.write_bw;
+  EXPECT_GE(elapsed, target);
+  EXPECT_GE(disk.total_write_seconds(), target);
+}
+
+TEST(ThrottledDiskTest, ReadPadsForOnDiskBytes) {
+  // Reads are charged the file as stored, not the table's SCT1 size:
+  // ~1 KB of SCC1 at 20 KB/s is ~50ms, where the ~8 KB SCT1 encoding
+  // would take ~400ms.
+  DiskProfile slow;
+  slow.write_bw = 1e9;
+  slow.read_bw = 20e3;
+  slow.latency = 0;
+  slow.throttle = true;
+  ThrottledDisk disk(testing::TempDir() + "/sc_disk_readpad", slow);
+  const Table t = SmallTable();
+  disk.WriteTable("t", t);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(disk.ReadTable("t") == t);
+  const double elapsed = SecondsSince(start);
+  EXPECT_GE(elapsed, static_cast<double>(disk.FileSize("t")) / slow.read_bw);
+  EXPECT_LT(elapsed,
+            static_cast<double>(SerializedSize(t)) / slow.read_bw - 0.1);
+}
+
+TEST(ThrottledDiskTest, LegacySct1FileStillReads) {
+  // A warehouse written before SCC1 holds plain SCT1 files under the
+  // same names; reads sniff the magic and charge the file's size.
+  DiskProfile slow;
+  slow.write_bw = 1e9;
+  slow.read_bw = 100e3;
+  slow.latency = 0;
+  slow.throttle = true;
+  ThrottledDisk disk(testing::TempDir() + "/sc_disk_legacy", slow);
+  const Table t = SmallTable();
+  const std::int64_t bytes =
+      WriteTableFile(t, disk.root_dir() + "/legacy.sct");
+  EXPECT_EQ(disk.FileSize("legacy"), bytes);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(disk.ReadTable("legacy") == t);
+  EXPECT_GE(SecondsSince(start), static_cast<double>(bytes) / slow.read_bw);
 }
 
 TEST(ThrottledDiskTest, AccumulatesTimers) {
