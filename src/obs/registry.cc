@@ -117,13 +117,11 @@ Histogram* Registry::GetHistogram(const std::string& name,
   return series->histogram.get();
 }
 
-void Registry::RegisterCallbackGauge(const std::string& name,
-                                     const std::string& help,
-                                     Labels labels,
-                                     std::function<double()> fn) {
+void Registry::RegisterCallback(const std::string& name,
+                                const std::string& help, Kind kind,
+                                Labels labels, std::function<double()> fn) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Series* series =
-      GetSeriesLocked(name, help, Kind::kCallback, std::move(labels));
+  Series* series = GetSeriesLocked(name, help, kind, std::move(labels));
   series->callback = std::move(fn);
 }
 

@@ -100,7 +100,7 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 /// Get* returns a stable pointer owned by the registry — call once at
 /// wiring time, then bump the primitive lock-free from any thread.
 /// Repeated Get* with the same (name, labels) returns the same object.
-/// Callback gauges mirror values that already live elsewhere (LanePool
+/// Callback series mirror values that already live elsewhere (LanePool
 /// counters, SharedCatalog bytes): the callback runs at exposition /
 /// snapshot time only, so mirroring costs nothing on the hot path.
 class Registry {
@@ -120,7 +120,18 @@ class Registry {
   /// exposition time.
   void RegisterCallbackGauge(const std::string& name,
                              const std::string& help, Labels labels,
-                             std::function<double()> fn);
+                             std::function<double()> fn) {
+    RegisterCallback(name, help, Kind::kGauge, std::move(labels),
+                     std::move(fn));
+  }
+  /// Like RegisterCallbackGauge, but exposed as a counter: `fn` must read
+  /// a cumulative, never-decreasing value, so rate() applies.
+  void RegisterCallbackCounter(const std::string& name,
+                               const std::string& help, Labels labels,
+                               std::function<double()> fn) {
+    RegisterCallback(name, help, Kind::kCounter, std::move(labels),
+                     std::move(fn));
+  }
 
   /// Prometheus text exposition format: families sorted by name, one
   /// # HELP / # TYPE header per family, histogram buckets with `le`
@@ -133,7 +144,7 @@ class Registry {
   std::map<std::string, double> Snapshot() const;
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kCallback };
+  enum class Kind { kCounter, kGauge, kHistogram };
   struct Series {
     Labels labels;
     std::unique_ptr<Counter> counter;
@@ -152,6 +163,9 @@ class Registry {
   Series* GetSeriesLocked(const std::string& name,
                           const std::string& help, Kind kind,
                           Labels labels);
+  void RegisterCallback(const std::string& name, const std::string& help,
+                        Kind kind, Labels labels,
+                        std::function<double()> fn);
 
   mutable std::mutex mutex_;
   std::map<std::string, Family> families_;

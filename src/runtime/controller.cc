@@ -59,29 +59,16 @@ void BackoffSleep(int attempt, double base_ms, const CancelToken* cancel) {
 }
 }  // namespace
 
-Materializer::Materializer(storage::ThrottledDisk* disk,
-                           obs::TraceRecorder* trace, LanePool* pool)
+Materializer::Materializer(storage::ThrottledDisk* disk, LanePool* pool,
+                           obs::TraceRecorder* trace)
     : disk_(disk),
       trace_(trace),
       pool_(pool),
-      track_(NextMaterializerTrack()) {
-  if (pool_ == nullptr) {
-    worker_ = std::thread([this] { Loop(); });
-  }
-}
+      track_(NextMaterializerTrack()) {}
 
-Materializer::~Materializer() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    stopping_ = true;
-    // Pooled mode: the in-flight drain task references `this` and
-    // processes every queued write before retiring — wait it out (the
-    // owned-thread mode equally drains its queue before Loop returns).
-    drained_cv_.wait(lock, [this] { return !pool_task_active_; });
-  }
-  cv_.notify_all();
-  if (worker_.joinable()) worker_.join();
-}
+// The in-flight drain task references `this` and processes every queued
+// write before retiring — wait it out.
+Materializer::~Materializer() { Drain(); }
 
 std::shared_future<void> Materializer::Enqueue(std::string name,
                                                engine::TablePtr table) {
@@ -93,7 +80,7 @@ std::shared_future<void> Materializer::Enqueue(std::string name,
   {
     std::unique_lock<std::mutex> lock(mutex_);
     queue_.push_back(std::move(task));
-    if (pool_ != nullptr && !pool_task_active_) {
+    if (!pool_task_active_) {
       // One drain task at a time: the single-writer FIFO channel.
       pool_task_active_ = true;
       submit_drain = true;
@@ -102,13 +89,12 @@ std::shared_future<void> Materializer::Enqueue(std::string name,
   if (submit_drain) {
     pool_->Submit([this] { DrainOnPool(); });
   }
-  cv_.notify_one();
   return future;
 }
 
 void Materializer::Drain() {
   std::unique_lock<std::mutex> lock(mutex_);
-  drained_cv_.wait(lock, [this] { return queue_.empty() && !busy_; });
+  drained_cv_.wait(lock, [this] { return !pool_task_active_; });
 }
 
 void Materializer::SetRetryPolicy(int retry_limit, double retry_backoff_ms,
@@ -131,8 +117,8 @@ void Materializer::WriteOne(Task task) {
       const double write_start = MonotonicSeconds();
       disk_->WriteTable(task.name, *task.table);
       if (trace_ != nullptr && trace_->enabled()) {
-        // Explicit track: in pooled mode the executing thread is some
-        // lane, but the write belongs on this materializer's timeline.
+        // Explicit track: the executing thread is some lane, but the
+        // write belongs on this materializer's timeline.
         trace_->CompleteOnTrack(
             track_, "materialize", task.name, write_start,
             MonotonicSeconds() - write_start,
@@ -169,35 +155,11 @@ void Materializer::WriteOne(Task task) {
   }
 }
 
-void Materializer::Loop() {
-  obs::SetThreadTrack(track_);
-  for (;;) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stopping_) return;
-        continue;
-      }
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      busy_ = true;
-    }
-    WriteOne(std::move(task));
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      busy_ = false;
-    }
-    drained_cv_.notify_all();
-  }
-}
-
 void Materializer::DrainOnPool() {
   for (;;) {
     Task task;
     {
-      std::unique_lock<std::mutex> lock(mutex_);
+      std::lock_guard<std::mutex> lock(mutex_);
       if (queue_.empty()) {
         pool_task_active_ = false;
         drained_cv_.notify_all();
@@ -205,14 +167,8 @@ void Materializer::DrainOnPool() {
       }
       task = std::move(queue_.front());
       queue_.pop_front();
-      busy_ = true;
     }
     WriteOne(std::move(task));
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      busy_ = false;
-    }
-    drained_cv_.notify_all();
   }
 }
 
@@ -269,21 +225,20 @@ std::vector<double> EstimateNodeCosts(const graph::Graph& g,
 }
 
 /// Everything one refresh run owns. Both execution paths drive the same
-/// ExecuteNode / PublishNode pair against this state, which is what makes
-/// the 1-lane mode provably identical to the stage runtime at 1 lane.
+/// ExecuteNode / PublishNode pair against this state.
 struct RunState {
   RunState(const workload::MvWorkload& wl_in, const opt::Plan& plan_in,
            const opt::StageDecomposition& stages_in,
            const ControllerOptions& options_in,
-           storage::ThrottledDisk* disk_in, std::int64_t budget)
+           storage::ThrottledDisk* disk_in, std::int64_t budget,
+           LanePool* pool)
       : wl(wl_in),
         plan(plan_in),
         stages(stages_in),
         options(options_in),
         disk(disk_in),
         catalog(budget, options_in.shared_catalog),
-        materializer(disk_in, options_in.trace, options_in.lane_pool),
-        morsel_pool(options_in.lane_pool) {
+        materializer(disk_in, pool, options_in.trace) {
     const graph::Graph& g = wl.graph;
     materializer.SetRetryPolicy(options.retry_limit,
                                 options.retry_backoff_ms, options.cancel,
@@ -335,10 +290,10 @@ struct RunState {
   std::vector<std::int32_t> pending_children;
   std::map<std::string, std::shared_future<void>> in_flight;
   std::vector<graph::NodeId> releasable;
-  /// Pool backing interior morsel fan-out (the service pool, or the
-  /// parallel runtime's owned fallback wired in by RunStageParallel);
-  /// null keeps every node single-morsel.
+  /// Pool backing interior morsel fan-out and its lane cap (set by
+  /// RunWithBudget); null keeps every node single-morsel.
   LanePool* morsel_pool = nullptr;
+  int morsel_lanes = 0;
   /// Per-node cost estimates feeding opt::MorselBudget; empty when
   /// morsel_target_seconds disables interior fan-out.
   std::vector<double> node_est_seconds;
@@ -475,7 +430,7 @@ NodeResult ExecuteNode(RunState& s, graph::NodeId v,
     morsel_budget = opt::MorselBudget(
         s.node_est_seconds[static_cast<std::size_t>(v)],
         s.options.morsel_target_seconds,
-        std::min(s.morsel_pool->capacity(), lane_cap));
+        std::min(s.morsel_lanes, lane_cap));
   }
 
   // Each attempt is self-contained (fresh resolver, fresh timings), so a
@@ -700,7 +655,7 @@ void RunSequential(RunState& s, RunReport* report) {
 
 /// The stage-scheduled parallel runtime with the relaxed publish
 /// protocol: ready nodes execute on up to `lanes` threads of `pool` (the
-/// service's shared LanePool, or an owned per-run fallback) while the
+/// service's shared LanePool, or the Controller's own) while the
 /// coordinator — the caller's thread — publishes completed results
 /// strictly in plan order. Publish and dispatch are decoupled: dispatch
 /// runs from lane-completion callbacks as well as after every publish, so
@@ -740,18 +695,6 @@ void RunStageParallel(RunState& s, int lanes, LanePool* pool,
   // completion, like lane nodes.
   const std::vector<char> inline_ok = InlineEligible(s);
   std::deque<graph::NodeId> inline_ready;
-  // Owned fallback for standalone Controllers (no service pool). Declared
-  // after every piece of state its lane tasks touch: if the coordinator
-  // unwinds, ~LanePool joins the lanes while scheduler / mutex / cv /
-  // completed are still alive. (With a shared pool the coordinator never
-  // returns before `executing` drops to zero instead.)
-  std::optional<LanePool> owned;
-  if (pool == nullptr) pool = &owned.emplace(lanes);
-  // Standalone runs get interior morsels on the owned fallback pool too
-  // (every ExecuteNode below happens before `owned` unwinds).
-  if (s.morsel_pool == nullptr && s.options.morsel_target_seconds > 0) {
-    s.morsel_pool = pool;
-  }
 
   // Dispatches ready nodes while this run's lanes are free, in
   // order-position priority. Requires `mutex`; called by the coordinator
@@ -935,8 +878,8 @@ void RunStageParallel(RunState& s, int lanes, LanePool* pool,
     --executing;
     if (s.plan.flags[v]) s.catalog.CancelReservation(g.node(v).name);
   }
-  // Every submitted task must finish before the run state unwinds —
-  // mandatory with a shared pool, where nothing joins on our behalf.
+  // Every submitted task must finish before the run state unwinds: the
+  // pool outlives the run, so nothing joins on our behalf.
   cv.wait(lock, [&] { return executing == 0; });
   lock.unlock();
 
@@ -952,7 +895,14 @@ void RunStageParallel(RunState& s, int lanes, LanePool* pool,
 
 Controller::Controller(storage::ThrottledDisk* disk,
                        ControllerOptions options)
-    : disk_(disk), options_(options) {}
+    : disk_(disk), options_(options) {
+  if (options_.lane_pool == nullptr) {
+    owned_pool_ = std::make_unique<LanePool>(
+        std::max(1, options_.max_parallel_nodes) + 1);
+  }
+}
+
+Controller::~Controller() = default;
 
 void Controller::LoadBaseTables(
     const std::map<std::string, engine::TablePtr>& tables) {
@@ -979,24 +929,11 @@ RunReport Controller::RunWithBudget(const workload::MvWorkload& wl,
     return report;
   }
 
-  // Standalone stage-aware ordering: widen early antichains within the
-  // budget. Runs after validation (so invalid plans keep the error-report
-  // contract); the widened plan needs no revalidation — the order stays
-  // topological and the memory gate keeps the peak within the budget.
-  // A widened order invalidates any caller-supplied decomposition.
-  const opt::Plan* active = &plan;
-  opt::Plan widened;
-  if (options_.widen_stages) {
-    widened = opt::WidenStagesPrefix(wl.graph, plan, budget);
-    if (widened.order.sequence != plan.order.sequence) stages = nullptr;
-    active = &widened;
-  }
-
   std::optional<opt::StageDecomposition> local_stages;
   if (stages == nullptr ||
       stages->stage_of.size() !=
           static_cast<std::size_t>(wl.graph.num_nodes())) {
-    local_stages.emplace(opt::DecomposeStages(wl.graph, active->order));
+    local_stages.emplace(opt::DecomposeStages(wl.graph, plan.order));
     stages = &*local_stages;
   }
   const int lanes = std::min<int>(
@@ -1016,7 +953,19 @@ RunReport Controller::RunWithBudget(const workload::MvWorkload& wl,
     return report;
   }
 
-  RunState state(wl, *active, *stages, options_, disk_, budget);
+  LanePool* const pool = options_.lane_pool != nullptr ? options_.lane_pool
+                                                       : owned_pool_.get();
+  RunState state(wl, plan, *stages, options_, disk_, budget, pool);
+  // Interior morsels fan out on a caller's pool up to its capacity, and
+  // on the owned pool only for parallel runs, up to the run's node lanes
+  // (its extra lane is the writer's).
+  if (options_.lane_pool != nullptr) {
+    state.morsel_pool = options_.lane_pool;
+    state.morsel_lanes = options_.lane_pool->capacity();
+  } else if (lanes > 1) {
+    state.morsel_pool = pool;
+    state.morsel_lanes = lanes;
+  }
   // Classifies a failed run as cooperatively cancelled. The stage
   // runtime collapses worker exceptions into a string, so the check is
   // token state + the exact CancelledError message constants (never a
@@ -1033,8 +982,8 @@ RunReport Controller::RunWithBudget(const workload::MvWorkload& wl,
   };
   const double run_start = MonotonicSeconds();
   try {
-    if (lanes > 1 || options_.force_stage_runtime) {
-      RunStageParallel(state, lanes, options_.lane_pool, &report);
+    if (lanes > 1) {
+      RunStageParallel(state, lanes, pool, &report);
     } else {
       RunSequential(state, &report);
     }

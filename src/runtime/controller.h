@@ -7,9 +7,9 @@
 #include <functional>
 #include <future>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cost/cost_model.h"
@@ -30,25 +30,20 @@ class LanePool;
 /// the DBMS executes downstream nodes. FIFO, mirroring one storage write
 /// channel.
 ///
-/// Two execution modes share the same queue and semantics:
-/// - Owned thread (pool == nullptr): the pre-pool behaviour — one writer
-///   thread per Materializer, constructed eagerly. Standalone fallback.
-/// - Pooled (pool != nullptr): writes drain on the service-wide LanePool
-///   via a single self-requeueing drain task, so steady-state jobs spawn
-///   no per-run writer thread (the last per-run thread construction).
-///   At most one drain task is ever in flight, which preserves the
-///   strict single-writer FIFO ordering per file; spans still land on
-///   this materializer's own "materializer-<k>" track regardless of
-///   which lane executes the drain.
+/// Writes drain on a LanePool (the service's shared pool, or the pool a
+/// standalone Controller owns) via a single self-requeueing drain task,
+/// so a run spawns no writer thread of its own. At most one drain task
+/// is ever in flight, which preserves the strict single-writer FIFO
+/// ordering per file; spans still land on this materializer's own
+/// "materializer-<k>" track regardless of which lane executes the drain.
 class Materializer {
  public:
+  /// `pool` (not owned; must outlive this object) runs the drain task.
   /// `trace` (optional, not owned) receives a "materialize" span per
   /// completed write on this materializer's track ("materializer-<k>").
-  /// `pool` (optional, not owned; must outlive this object) switches to
-  /// pooled mode.
-  explicit Materializer(storage::ThrottledDisk* disk,
-                        obs::TraceRecorder* trace = nullptr,
-                        LanePool* pool = nullptr);
+  Materializer(storage::ThrottledDisk* disk, LanePool* pool,
+               obs::TraceRecorder* trace = nullptr);
+  /// Waits for every queued write to finish.
   ~Materializer();
 
   Materializer(const Materializer&) = delete;
@@ -72,7 +67,7 @@ class Materializer {
                       const CancelToken* cancel,
                       std::atomic<std::int64_t>* retry_counter = nullptr);
 
-  /// Hook invoked (from the writer thread/lane) with the table name when
+  /// Hook invoked (from the draining lane) with the table name when
   /// a write permanently fails, *before* the task's future is failed —
   /// the caller's chance to quarantine optimistic publishes of that
   /// output. Call before the first Enqueue. Must not throw.
@@ -85,16 +80,15 @@ class Materializer {
     std::promise<void> done;
   };
 
-  void Loop();
-  /// Pooled-mode drain body: writes queued tasks FIFO until the queue is
-  /// empty, then retires (Enqueue schedules a fresh one as needed).
+  /// Drain-task body: writes queued tasks FIFO until the queue is empty,
+  /// then retires (Enqueue schedules a fresh one as needed).
   void DrainOnPool();
-  /// Executes one write and settles its promise (both modes).
+  /// Executes one write and settles its promise.
   void WriteOne(Task task);
 
   storage::ThrottledDisk* disk_;
   obs::TraceRecorder* trace_;  // not owned; may be null
-  LanePool* pool_;             // not owned; null = owned-thread mode
+  LanePool* pool_;             // not owned
   std::string track_;          // "materializer-<k>" trace track
   int retry_limit_ = 0;
   double retry_backoff_ms_ = 1.0;
@@ -102,14 +96,11 @@ class Materializer {
   std::atomic<std::int64_t>* retry_counter_ = nullptr;  // not owned
   std::function<void(const std::string&)> write_failure_hook_;
   std::mutex mutex_;
-  std::condition_variable cv_;
   std::condition_variable drained_cv_;
   std::deque<Task> queue_;
-  bool busy_ = false;
-  bool stopping_ = false;
-  /// Pooled mode: a drain task has been submitted and not yet retired.
+  /// A drain task has been submitted and not yet retired: writes are
+  /// queued or in flight.
   bool pool_task_active_ = false;
-  std::thread worker_;
 };
 
 struct ControllerOptions {
@@ -126,10 +117,6 @@ struct ControllerOptions {
   /// independent nodes execute on LanePool lanes while flagged outputs
   /// are still published to the Memory Catalog in optimized order.
   int max_parallel_nodes = 1;
-  /// Routes 1-lane runs through the stage-scheduled runtime instead of
-  /// the classic sequential loop. Semantics are identical either way;
-  /// the knob exists so tests can assert that equivalence.
-  bool force_stage_runtime = false;
   /// Inline small-node dispatch threshold (seconds). In parallel runs,
   /// a ready node whose estimated wall cost (opt::EstimateNodeSeconds:
   /// profiled compute plus modeled I/O under throttled storage) is at or
@@ -148,11 +135,12 @@ struct ControllerOptions {
   /// dispatch overhead if offloaded), while I/O-bound nodes on throttled
   /// storage estimate at several ms and keep their lane parallelism.
   double inline_node_cost_seconds = 0.001;
-  /// Service-wide executor pool the run borrows its execution lanes from
-  /// (not owned; must outlive the Controller's runs). When null, parallel
-  /// runs fall back to an owned pool constructed per run — the standalone
-  /// Controller behaviour. The RefreshService always supplies its shared
-  /// pool so steady-state jobs pay zero thread construction.
+  /// Service-wide executor pool the run borrows its execution lanes and
+  /// its Materializer's writer from (not owned; must outlive the
+  /// Controller's runs). When null, the Controller owns one LanePool for
+  /// its lifetime, sized max(1, max_parallel_nodes) + 1: its node lanes
+  /// plus the writer lane. The RefreshService always supplies its shared
+  /// pool, so jobs build no pool of their own.
   LanePool* lane_pool = nullptr;
   /// Morsel-driven intra-operator parallelism (Leis et al., SIGMOD
   /// 2014): a node whose estimated wall cost (opt::EstimateNodeSeconds,
@@ -166,8 +154,10 @@ struct ControllerOptions {
   /// unit, and unprofiled nodes (est = +inf) get the full budget with
   /// the per-operator row floor below making the runtime call. <= 0
   /// disables interior fan-out entirely (the exact pre-morsel code
-  /// path). Requires a lane_pool (or the parallel runtime's owned
-  /// fallback pool); sequential runs without any pool stay sequential.
+  /// path). Runs on a caller-supplied lane_pool, capped by its capacity,
+  /// or — for parallel runs of a standalone Controller — on the owned
+  /// pool, capped by the run's node lanes. Sequential runs without a
+  /// caller pool stay single-morsel.
   double morsel_target_seconds = 0.005;
   /// Row floor per morsel: operators fan out only ranges of at least
   /// this many rows (a smaller morsel pays more in dispatch than it
@@ -193,12 +183,6 @@ struct ControllerOptions {
   /// that arrive from SCC1 warehouse reads are decoded — reproducing the
   /// pre-compression footprints.
   bool compress_residency = true;
-  /// Applies the opt::WidenStagesPrefix post-pass to the plan before
-  /// executing: reorders the total order stage-major among
-  /// budget-feasible leading stages so early antichains are as wide as
-  /// possible. Off by default; the RefreshService instead widens at
-  /// optimization time so cached plans are widened once.
-  bool widen_stages = false;
   /// Cross-job shared residency layer. When set, the run's Memory
   /// Catalog becomes a per-job view over this content-keyed
   /// SharedCatalog: node names are bound to content fingerprints
@@ -336,8 +320,8 @@ struct RunReport {
 /// With max_parallel_nodes > 1 the run executes on the stage-scheduled
 /// parallel runtime: a StageScheduler derives antichain stages from the
 /// optimizer's total order and dispatches ready nodes (all DAG parents
-/// available) to a LanePool (the service's shared pool, or an owned
-/// fallback), in order-position priority. Flagged outputs are still
+/// available) to a LanePool (the service's shared pool, or the one the
+/// Controller owns), in order-position priority. Flagged outputs are still
 /// *published* to the Memory Catalog strictly in the optimized order —
 /// the publish step replays the sequential Put / lazy-release sequence,
 /// so the catalog's budget behaviour (and the paper's residency
@@ -356,6 +340,7 @@ struct RunReport {
 class Controller {
  public:
   Controller(storage::ThrottledDisk* disk, ControllerOptions options);
+  ~Controller();
 
   /// Persists base tables to external storage (ingestion step).
   void LoadBaseTables(
@@ -390,6 +375,8 @@ class Controller {
  private:
   storage::ThrottledDisk* disk_;
   ControllerOptions options_;
+  /// Lanes and writer of a Controller built without a lane_pool.
+  std::unique_ptr<LanePool> owned_pool_;
 };
 
 }  // namespace sc::runtime

@@ -23,17 +23,17 @@ struct LanePoolOptions {
 
 /// Service-wide, work-queue-backed executor pool behind the parallel
 /// runtime's execution lanes. Unlike the per-run pool it replaces, a
-/// LanePool is constructed once (by the RefreshService, or standalone
-/// Controller runs as an owned fallback) and reused by every job: lanes
+/// LanePool is constructed once (by the RefreshService, or by a
+/// standalone Controller for its lifetime) and reused by every job: lanes
 /// spawn lazily on demand, stay alive between jobs, and only exit after
 /// `idle_shutdown_seconds` without work — so steady-state refresh traffic
 /// pays zero thread construction per job.
 ///
 /// The pool is deliberately dumb: each task is one DAG-node execution,
-/// picked up FIFO by whichever lane frees first. All scheduling policy
-/// (readiness, dispatch order, budget backpressure, per-job lane caps)
-/// lives in the Controller's run loop, so one pool serves any number of
-/// concurrently running jobs.
+/// morsel, or Materializer drain, picked up FIFO by whichever lane frees
+/// first. All scheduling policy (readiness, dispatch order, budget
+/// backpressure, per-job lane caps) lives in the Controller's run loop,
+/// so one pool serves any number of concurrently running jobs.
 class LanePool {
  public:
   explicit LanePool(int capacity)

@@ -15,6 +15,10 @@
 
 namespace sc::service {
 
+/// Grant renegotiation keeps plan peak × this slack, absorbing actual
+/// output sizes overshooting the optimizer's estimates.
+constexpr double kBudgetReturnSlack = 1.25;
+
 RefreshService::RefreshService(storage::ThrottledDisk* disk,
                                ServiceOptions options)
     : disk_(disk),
@@ -25,16 +29,12 @@ RefreshService::RefreshService(storage::ThrottledDisk* disk,
         BudgetBrokerOptions broker_options;
         broker_options.global_budget = options_.global_budget;
         broker_options.default_tenant_quota = options_.default_tenant_quota;
-        broker_options.min_grant_fraction = options_.min_grant_fraction;
         broker_options.fault_injector = options_.fault_injector;
         return broker_options;
       }()),
       lanes_broker_(std::max(1, options_.num_workers),
                     options_.max_intra_job_lanes),
-      lane_pool_(runtime::LanePoolOptions{
-          std::max(1, options_.num_workers),
-          options_.lane_idle_shutdown_seconds}),
-      plan_cache_(options_.plan_cache_capacity),
+      lane_pool_(std::max(1, options_.num_workers)),
       shared_catalog_(options_.global_budget, 8, [&] {
         storage::SpillOptions spill;
         spill.directory = options_.spill_directory;
@@ -58,141 +58,154 @@ RefreshService::RefreshService(storage::ThrottledDisk* disk,
     shared_catalog_.SetFaultInjector(options_.fault_injector);
     if (disk_ != nullptr) disk_->SetFaultInjector(options_.fault_injector);
   }
-  RegisterComponentGauges();
+  RegisterComponentMirrors();
   workers_.reserve(static_cast<std::size_t>(split_.workers));
   for (int i = 0; i < split_.workers; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
 
-void RefreshService::RegisterComponentGauges() {
-  // Callback gauges mirror monitoring counters that already live on the
+void RefreshService::RegisterComponentMirrors() {
+  // Callback series mirror monitoring counters that already live on the
   // components; the callbacks run at exposition/snapshot time only, so
-  // mirroring costs nothing on the hot path. Names are part of the
-  // documented surface (README "Observability") — keep them stable.
+  // mirroring costs nothing on the hot path. Cumulative values export as
+  // counters (so rate() applies), point-in-time values as gauges. Names
+  // are part of the documented surface (README "Observability") — keep
+  // them stable.
+  constexpr bool kCounter = true;
+  constexpr bool kGauge = false;
   struct Mirror {
     const char* name;
+    bool counter;
     const char* help;
     std::function<double()> fn;
   };
   const Mirror mirrors[] = {
-      {"sc_lane_pool_busy_seconds",
+      {"sc_lane_pool_busy_seconds", kCounter,
        "Cumulative seconds lanes spent executing tasks",
        [this] { return lane_pool_.busy_seconds(); }},
-      {"sc_lane_pool_threads_started",
+      {"sc_lane_pool_threads_started", kCounter,
        "Cumulative lane threads ever started (thread-churn witness)",
        [this] { return static_cast<double>(lane_pool_.threads_started()); }},
-      {"sc_lane_pool_tasks_completed", "Tasks completed by pool lanes",
+      {"sc_lane_pool_tasks_completed", kCounter,
+       "Tasks completed by pool lanes",
        [this] { return static_cast<double>(lane_pool_.tasks_completed()); }},
-      {"sc_lane_pool_live_lanes", "Lane threads currently alive",
+      {"sc_lane_pool_live_lanes", kGauge, "Lane threads currently alive",
        [this] { return static_cast<double>(lane_pool_.live_lanes()); }},
-      {"sc_lane_pool_idle_lanes", "Lane threads parked waiting for work",
+      {"sc_lane_pool_idle_lanes", kGauge,
+       "Lane threads parked waiting for work",
        [this] { return static_cast<double>(lane_pool_.idle_lanes()); }},
-      {"sc_shared_catalog_used_bytes",
+      {"sc_shared_catalog_used_bytes", kGauge,
        "Bytes resident in the cross-job shared catalog",
        [this] { return static_cast<double>(shared_catalog_.used_bytes()); }},
-      {"sc_shared_catalog_pinned_bytes",
+      {"sc_shared_catalog_pinned_bytes", kGauge,
        "Resident bytes currently holding at least one pin",
        [this] {
          return static_cast<double>(shared_catalog_.pinned_bytes());
        }},
-      {"sc_shared_catalog_peak_bytes",
+      {"sc_shared_catalog_peak_bytes", kGauge,
        "High-water mark of shared-catalog residency",
        [this] { return static_cast<double>(shared_catalog_.peak_bytes()); }},
-      {"sc_shared_catalog_hits", "Counted Pin() lookups served resident",
+      {"sc_shared_catalog_hits", kCounter,
+       "Counted Pin() lookups served resident",
        [this] { return static_cast<double>(shared_catalog_.hits()); }},
-      {"sc_shared_catalog_misses",
+      {"sc_shared_catalog_misses", kCounter,
        "Counted Pin() lookups that missed (damping-bounded per epoch)",
        [this] { return static_cast<double>(shared_catalog_.misses()); }},
-      {"sc_shared_catalog_damped_lookups",
+      {"sc_shared_catalog_damped_lookups", kCounter,
        "Miss-path probes short-circuited by negative-lookup damping",
        [this] {
          return static_cast<double>(shared_catalog_.damped_lookups());
        }},
-      {"sc_shared_catalog_publishes", "Successful shared-catalog inserts",
+      {"sc_shared_catalog_publishes", kCounter,
+       "Successful shared-catalog inserts",
        [this] { return static_cast<double>(shared_catalog_.publishes()); }},
-      {"sc_shared_catalog_rejects", "Failed shared-catalog inserts",
+      {"sc_shared_catalog_rejects", kCounter, "Failed shared-catalog inserts",
        [this] { return static_cast<double>(shared_catalog_.rejects()); }},
-      {"sc_shared_catalog_evictions",
+      {"sc_shared_catalog_evictions", kCounter,
        "Entries dropped under shared-catalog budget pressure",
        [this] { return static_cast<double>(shared_catalog_.evictions()); }},
-      {"sc_shared_spill_bytes",
+      {"sc_shared_spill_bytes", kGauge,
        "Compressed bytes currently parked in shared-catalog spill files",
        [this] {
          return static_cast<double>(shared_catalog_.spill_bytes());
        }},
-      {"sc_shared_refills_total",
+      {"sc_shared_refills_total", kCounter,
        "Pins served by refilling a spilled entry instead of recompute",
        [this] {
          return static_cast<double>(shared_catalog_.spill_refills());
        }},
-      {"sc_shared_spills_total",
+      {"sc_shared_spills_total", kCounter,
        "Evictions demoted to compressed spill files",
        [this] { return static_cast<double>(shared_catalog_.spills()); }},
-      {"sc_corrupt_files_total",
+      {"sc_corrupt_files_total", kCounter,
        "Damaged spill files detected and removed, never served",
        [this] {
          return static_cast<double>(shared_catalog_.corrupt_files());
        }},
-      {"sc_recovered_entries_total",
+      {"sc_recovered_entries_total", kCounter,
        "Spilled entries adopted from the manifest at startup recovery",
        [this] {
          return static_cast<double>(shared_catalog_.recovered_entries());
        }},
-      {"sc_recovered_bytes",
+      {"sc_recovered_bytes", kGauge,
        "Compressed bytes adopted at startup recovery",
        [this] {
          return static_cast<double>(shared_catalog_.recovered_bytes());
        }},
-      {"sc_spill_orphans_removed_total",
+      {"sc_spill_orphans_removed_total", kCounter,
        "Unmanifested spill-directory files removed at startup",
        [this] {
          return static_cast<double>(shared_catalog_.orphans_removed());
        }},
-      {"sc_manifest_compactions_total",
+      {"sc_manifest_compactions_total", kCounter,
        "Atomic rotate/compact cycles of the spill manifest journal",
        [this] {
          return static_cast<double>(shared_catalog_.manifest_compactions());
        }},
-      {"sc_dict_columns_total",
+      {"sc_dict_columns_total", kCounter,
        "Dictionary-encoded string columns materialized process-wide",
        [this] {
          return static_cast<double>(engine::Column::dict_columns_created());
        }},
-      {"sc_budget_reserved_bytes",
+      {"sc_budget_reserved_bytes", kGauge,
        "Memory-catalog bytes currently granted to running jobs",
        [this] { return static_cast<double>(broker_.reserved_bytes()); }},
-      {"sc_budget_free_bytes", "Ungranted memory-catalog bytes",
+      {"sc_budget_free_bytes", kGauge, "Ungranted memory-catalog bytes",
        [this] { return static_cast<double>(broker_.free_bytes()); }},
-      {"sc_budget_peak_reserved_bytes",
+      {"sc_budget_peak_reserved_bytes", kGauge,
        "High-water mark of concurrently granted bytes",
        [this] {
          return static_cast<double>(broker_.peak_reserved_bytes());
        }},
-      {"sc_budget_waiting_jobs", "Jobs blocked in budget arbitration",
+      {"sc_budget_waiting_jobs", kGauge, "Jobs blocked in budget arbitration",
        [this] { return static_cast<double>(broker_.waiting_count()); }},
-      {"sc_plan_cache_hits", "Plan-cache lookups served",
+      {"sc_plan_cache_hits", kCounter, "Plan-cache lookups served",
        [this] { return static_cast<double>(plan_cache_.stats().hits); }},
-      {"sc_plan_cache_misses", "Plan-cache lookups that missed",
+      {"sc_plan_cache_misses", kCounter, "Plan-cache lookups that missed",
        [this] { return static_cast<double>(plan_cache_.stats().misses); }},
-      {"sc_plan_cache_insertions", "Plans inserted into the cache",
+      {"sc_plan_cache_insertions", kCounter, "Plans inserted into the cache",
        [this] {
          return static_cast<double>(plan_cache_.stats().insertions);
        }},
-      {"sc_plan_cache_evictions", "Plans evicted LRU under capacity",
+      {"sc_plan_cache_evictions", kCounter, "Plans evicted LRU under capacity",
        [this] {
          return static_cast<double>(plan_cache_.stats().evictions);
        }},
-      {"sc_plan_cache_size", "Plans currently cached",
+      {"sc_plan_cache_size", kGauge, "Plans currently cached",
        [this] { return static_cast<double>(plan_cache_.size()); }},
-      {"sc_queue_depth", "Jobs waiting in the admission queue",
+      {"sc_queue_depth", kGauge, "Jobs waiting in the admission queue",
        [this] { return static_cast<double>(queue_depth()); }},
-      {"sc_starvation_seconds",
+      {"sc_starvation_seconds", kGauge,
        "Longest wait among jobs queued right now",
        [this] { return metrics_.StarvationSeconds(); }},
   };
   for (const Mirror& m : mirrors) {
-    registry_.RegisterCallbackGauge(m.name, m.help, {}, m.fn);
+    if (m.counter) {
+      registry_.RegisterCallbackCounter(m.name, m.help, {}, m.fn);
+    } else {
+      registry_.RegisterCallbackGauge(m.name, m.help, {}, m.fn);
+    }
   }
 }
 
@@ -390,11 +403,9 @@ JobResult RefreshService::Execute(Job& job) {
   JobResult result;
   result.job_id = job.id;
   result.tenant = job.spec.tenant;
-  result.requested_budget =
-      job.spec.requested_budget > 0 ? job.spec.requested_budget
-      : options_.default_job_budget > 0
-          ? options_.default_job_budget
-          : options_.global_budget;
+  result.requested_budget = job.spec.requested_budget > 0
+                                ? job.spec.requested_budget
+                                : options_.global_budget;
 
   // Trace the job's waiting states on this worker's track: time in the
   // admission queue (submit -> this worker picking it up), then time
@@ -488,7 +499,7 @@ JobResult RefreshService::Execute(Job& job) {
     bool any_resident = false;
     std::uint64_t plan_key = job.fingerprint;
     std::vector<std::uint64_t> fps;  // outlives the controller runs
-    if (options_.share_catalog && options_.sharing_aware_optimization) {
+    if (options_.share_catalog) {
       fps = graph::FingerprintNodes(wl.graph, options_.shared_epoch);
       resident = shared_catalog_.ContainsAll(fps);
       // Only positive-score resident nodes change the optimization
@@ -582,7 +593,7 @@ JobResult RefreshService::Execute(Job& job) {
     // waking head-of-line waiters instead of idling until Release. The
     // need is estimate-based, so skip it when any flagged node lacks a
     // size estimate (nothing trustworthy to keep by).
-    if (options_.budget_return_slack >= 1.0 && grant.bytes > 0) {
+    if (grant.bytes > 0) {
       bool estimates_present = true;
       for (const graph::NodeId v : opt::FlaggedNodes(plan.flags)) {
         if (wl.graph.node(v).size_bytes <= 0) estimates_present = false;
@@ -590,7 +601,7 @@ JobResult RefreshService::Execute(Job& job) {
       const std::int64_t need = opt::PeakMemoryUsage(
           wl.graph, plan.order, plan.flags);
       const std::int64_t keep = static_cast<std::int64_t>(
-          static_cast<double>(need) * options_.budget_return_slack);
+          static_cast<double>(need) * kBudgetReturnSlack);
       if (estimates_present && keep < grant.bytes) {
         result.returned_budget = grant.bytes - keep;
         broker_.ReturnUnused(&grant, result.returned_budget);
@@ -612,18 +623,11 @@ JobResult RefreshService::Execute(Job& job) {
     lanes = lanes_broker_.AcquireLanes(width);
     result.lanes = lanes;
     runtime::ControllerOptions controller_options;
-    controller_options.background_materialize =
-        options_.background_materialize;
     controller_options.max_parallel_nodes = lanes;
-    controller_options.inline_node_cost_seconds =
-        options_.inline_node_cost_seconds;
-    controller_options.morsel_target_seconds =
-        options_.morsel_target_seconds;
-    controller_options.morsel_min_rows = options_.morsel_min_rows;
-    controller_options.morsel_max_lanes = options_.morsel_max_lanes;
     controller_options.compress_residency = options_.compress_residency;
-    // Parallel runs borrow threads from the service-wide pool — zero
-    // thread construction per job in steady state.
+    // Node lanes and background writes borrow threads from the
+    // service-wide pool — zero thread construction per job in steady
+    // state.
     controller_options.lane_pool = &lane_pool_;
     // Fault tolerance: the job's token is polled at every stage /
     // node / morsel / materialize boundary, injected faults fire inside

@@ -44,45 +44,20 @@ struct ServiceOptions {
   /// stage-aware ordering post-pass (opt::WidenStages) so cached plans
   /// feed the lanes as wide an early antichain as peak memory allows.
   int max_intra_job_lanes = 1;
-  /// Idle-shutdown horizon of the service-wide LanePool: execution lanes
-  /// idle this long exit and are respawned on demand. <= 0 keeps idle
-  /// lanes alive for the service's lifetime.
-  double lane_idle_shutdown_seconds = 30.0;
-  /// Inline small-node dispatch threshold forwarded to every job's
-  /// Controller (ControllerOptions::inline_node_cost_seconds): parallel
-  /// runs execute nodes estimated at or below this many seconds on the
-  /// coordinator thread instead of a pool lane. <= 0 disables inlining.
-  double inline_node_cost_seconds = 0.001;
-  /// Morsel granularity forwarded to every job's Controller
-  /// (ControllerOptions::morsel_target_seconds): a node estimated above
-  /// this many seconds splits its hash-join / aggregation interiors into
-  /// morsels executed by idle lanes of the service pool, so one giant
-  /// node no longer pins job latency to a single lane. Results are
-  /// bit-identical; <= 0 disables interior fan-out.
-  double morsel_target_seconds = 0.005;
-  /// Row floor per morsel (ControllerOptions::morsel_min_rows).
-  std::int64_t morsel_min_rows = 8192;
-  /// Interior fan-out cap (ControllerOptions::morsel_max_lanes):
-  /// 0 = the machine's hardware concurrency.
-  int morsel_max_lanes = 0;
-  /// Global Memory-Catalog bytes shared by all in-flight jobs.
+  /// Global Memory-Catalog bytes shared by all in-flight jobs; also what
+  /// a job asks the broker for when it names no budget.
   std::int64_t global_budget = 256LL * 1024 * 1024;
-  /// Per-job budget request when the job does not name one. 0 = ask for
-  /// the whole global budget (the broker scales it down under load).
-  std::int64_t default_job_budget = 0;
   /// Default per-tenant reservation cap (0 = uncapped); per-tenant
   /// overrides via RefreshService::SetTenantQuota.
   std::int64_t default_tenant_quota = 0;
-  /// Minimum fundable fraction of a request before admission (see
-  /// BudgetBrokerOptions::min_grant_fraction).
-  double min_grant_fraction = 0.25;
-  std::size_t plan_cache_capacity = 128;
   /// Cross-job Memory-Catalog sharing: route every worker's runs through
   /// one content-keyed storage::SharedCatalog (budget = global_budget),
   /// so tenants refreshing the same content read each other's resident
   /// outputs — and skip recomputing nodes whose outputs are already
-  /// resident — instead of each funding a private catalog slice. Off
-  /// reproduces the PR-3 private-catalog behaviour exactly.
+  /// resident — instead of each funding a private catalog slice. Plans
+  /// are then re-costed for the resident nodes before execution
+  /// (opt::ReOptimizeWithResidency). Off reproduces the PR-3
+  /// private-catalog behaviour exactly.
   bool share_catalog = true;
   /// SharedCatalog spill tier: when non-empty, entries evicted under
   /// budget pressure are demoted to compressed SCC1 files in this
@@ -105,24 +80,9 @@ struct ServiceOptions {
   /// runtime::ControllerOptions::compress_residency). Off reproduces the
   /// plain-string footprints of the pre-compression service.
   bool compress_residency = true;
-  /// Sharing-aware optimization pre-pass: snapshot shared residency
-  /// before planning and re-cost resident nodes
-  /// (opt::ReOptimizeWithResidency), steering the knapsack budget to
-  /// not-yet-shared nodes. Residency-adjusted plans are cached under a
-  /// residency-salted key next to the base plan. Only meaningful with
-  /// share_catalog.
-  bool sharing_aware_optimization = true;
   /// Content-fingerprint salt (a data epoch): bump it to invalidate
   /// every cross-job match, e.g. after base tables change.
   std::uint64_t shared_epoch = 0;
-  /// Grant renegotiation: once a job's plan is known, budget beyond
-  /// plan peak × this slack is returned to the BudgetBroker early
-  /// (ReturnUnused), waking waiters before the run completes. The slack
-  /// absorbs actual output sizes overshooting the optimizer's estimates;
-  /// values < 1 disable early return.
-  double budget_return_slack = 1.25;
-  /// Forwarded to each worker's Controller.
-  bool background_materialize = true;
   /// Optimizer configuration used when a job misses the plan cache.
   opt::AlternatingOptions optimizer;
   /// Observability trace recorder (obs::TraceRecorder) every job's
@@ -175,9 +135,9 @@ struct RefreshJobSpec {
   /// Higher runs earlier; admission and budget arbitration are both
   /// priority-aware.
   int priority = 0;
-  /// Memory-Catalog bytes this job asks the broker for. 0 = the service
-  /// default. The grant may be smaller; the plan is then re-optimized at
-  /// the granted budget.
+  /// Memory-Catalog bytes this job asks the broker for. 0 = the service's
+  /// `global_budget`. The grant may be smaller; the plan is then
+  /// re-optimized at the granted budget.
   std::int64_t requested_budget = 0;
   /// End-to-end deadline in seconds, relative to Submit. Once it expires
   /// the job is cancelled wherever it is — queued, blocked in budget
@@ -296,9 +256,9 @@ class RefreshService {
   const ServiceOptions& options() const { return options_; }
   /// Unified metrics registry (tentpole of the observability layer):
   /// job counters and latency histograms recorded by the service, plus
-  /// callback gauges mirroring the LanePool, SharedCatalog, BudgetBroker,
-  /// and PlanCache counters. See README "Observability" for the full
-  /// metric-name table.
+  /// callback counters and gauges mirroring the LanePool, SharedCatalog,
+  /// BudgetBroker, and PlanCache values. See README "Observability" for
+  /// the full metric-name table.
   const obs::Registry& registry() const { return registry_; }
   obs::Registry& registry() { return registry_; }
   /// Prometheus text exposition of registry().
@@ -350,9 +310,10 @@ class RefreshService {
   /// Drops `job.id` from the cancellation registry (terminal states
   /// only).
   void ForgetJob(std::uint64_t job_id);
-  /// Wires the callback gauges mirroring LanePool / SharedCatalog /
-  /// BudgetBroker / PlanCache monitoring counters into registry_.
-  void RegisterComponentGauges();
+  /// Wires the callback counters and gauges mirroring LanePool /
+  /// SharedCatalog / BudgetBroker / PlanCache monitoring values into
+  /// registry_.
+  void RegisterComponentMirrors();
 
   storage::ThrottledDisk* disk_;
   const ServiceOptions options_;
@@ -367,7 +328,7 @@ class RefreshService {
   /// caller supplied one or tracing is off).
   std::unique_ptr<obs::TraceRecorder> owned_trace_;
   obs::TraceRecorder* trace_ = nullptr;  // the active recorder, if any
-  /// Declared after every component it mirrors: its callback gauges read
+  /// Declared after every component it mirrors: its callbacks read
   /// lane_pool_ / shared_catalog_ / broker_ / plan_cache_, so it must be
   /// destroyed first.
   obs::Registry registry_;

@@ -382,7 +382,9 @@ engine::Table ReadPlainBody(CrcSource& source) {
           throw CorruptFileError("SCT1: bad int64 payload size");
         }
         std::vector<std::int64_t> values(num_rows);
-        std::memcpy(values.data(), payload.data(), payload.size());
+        if (num_rows > 0) {  // an empty vector's data() may be null
+          std::memcpy(values.data(), payload.data(), payload.size());
+        }
         columns.push_back(engine::Column::FromInts(std::move(values)));
         break;
       }
@@ -392,7 +394,9 @@ engine::Table ReadPlainBody(CrcSource& source) {
           throw CorruptFileError("SCT1: bad float64 payload size");
         }
         std::vector<double> values(num_rows);
-        std::memcpy(values.data(), payload.data(), payload.size());
+        if (num_rows > 0) {  // an empty vector's data() may be null
+          std::memcpy(values.data(), payload.data(), payload.size());
+        }
         columns.push_back(engine::Column::FromDoubles(std::move(values)));
         break;
       }
@@ -623,7 +627,9 @@ engine::Table ReadCompressedBody(CrcSource& source) {
           throw CorruptFileError("SCC1: bad float64 payload size");
         }
         std::vector<double> values(num_rows);
-        std::memcpy(values.data(), buf.data(), buf.size());
+        if (num_rows > 0) {  // an empty vector's data() may be null
+          std::memcpy(values.data(), buf.data(), buf.size());
+        }
         columns.push_back(engine::Column::FromDoubles(std::move(values)));
         break;
       }

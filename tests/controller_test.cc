@@ -4,6 +4,7 @@
 
 #include "opt/optimizer.h"
 #include "runtime/controller.h"
+#include "runtime/lane_pool.h"
 #include "sim/refresh_sim.h"
 #include "storage/format.h"
 #include "workload/datagen.h"
@@ -36,7 +37,8 @@ std::map<std::string, engine::TablePtr> TinyData() {
 
 TEST(MaterializerTest, WritesInBackground) {
   storage::ThrottledDisk disk(FreshDir("mat"), FastDisk());
-  Materializer materializer(&disk);
+  LanePool pool(4);
+  Materializer materializer(&disk, &pool);
   std::vector<engine::Column> cols;
   cols.push_back(engine::Column::FromInts({1, 2, 3}));
   auto table = std::make_shared<engine::Table>(engine::Table(

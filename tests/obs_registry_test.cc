@@ -82,11 +82,16 @@ TEST(Registry, PrometheusGoldenText) {
   h->Observe(2.0);
   registry.RegisterCallbackGauge("sc_live", "Live value", {},
                                  [] { return 7.0; });
+  registry.RegisterCallbackCounter("sc_done_total", "Mirrored count", {},
+                                   [] { return 5.0; });
 
   // Families sorted by name; labels sorted by key; histogram exposes
   // cumulative le-buckets plus _sum/_count. This exact text is the
   // documented exposition contract.
   const std::string expected =
+      "# HELP sc_done_total Mirrored count\n"
+      "# TYPE sc_done_total counter\n"
+      "sc_done_total 5\n"
       "# HELP sc_jobs_total Finished jobs\n"
       "# TYPE sc_jobs_total counter\n"
       "sc_jobs_total{status=\"ok\",tenant=\"a\"} 3\n"

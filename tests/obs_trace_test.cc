@@ -207,7 +207,6 @@ TracedRun RunControllerTraced(const std::string& tag, int lanes) {
   runtime::ControllerOptions options;
   options.budget = budget;
   options.max_parallel_nodes = lanes;
-  options.force_stage_runtime = true;
   // Force every node onto a LanePool lane so lane tracks appear even
   // for the cheap profiled nodes the dispatcher would inline.
   options.inline_node_cost_seconds = 0.0;
@@ -339,8 +338,6 @@ TEST(ServiceTraceTest, FourTenantFourLaneRunReconstructs) {
   options.num_workers = 8;
   options.max_intra_job_lanes = 4;
   options.global_budget = 32LL * 1024 * 1024;
-  // Force lane dispatch so the trace shows lane occupancy.
-  options.inline_node_cost_seconds = 0.0;
   options.trace = &recorder;
   RefreshService service(&disk, options);
 
@@ -384,8 +381,8 @@ TEST(ServiceTraceTest, FourTenantFourLaneRunReconstructs) {
   }
   EXPECT_EQ(tenants.size(), 4u);
 
-  // Lane occupancy: worker tracks (and lane tracks, since inlining is
-  // off) accumulated busy time inside the trace wall span.
+  // Lane occupancy: worker tracks (and any lane tracks) accumulated busy
+  // time inside the trace wall span.
   EXPECT_GT(analysis.wall_seconds, 0.0);
   bool any_worker_track = false;
   for (const auto& [track, busy] : analysis.track_busy_seconds) {
@@ -414,6 +411,10 @@ TEST(ServiceTraceTest, FourTenantFourLaneRunReconstructs) {
   EXPECT_GT(snapshot.at("sc_lane_pool_tasks_completed"), 0.0);
   const std::string text = service.PrometheusText();
   EXPECT_NE(text.find("# TYPE sc_jobs_total counter"), std::string::npos);
+  // Cumulative mirrors export as counters, point-in-time ones as gauges.
+  EXPECT_NE(text.find("# TYPE sc_lane_pool_tasks_completed counter"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE sc_queue_depth gauge"), std::string::npos);
   EXPECT_NE(text.find("sc_job_exec_seconds_bucket"), std::string::npos);
 }
 

@@ -167,59 +167,6 @@ TEST(StageSchedulerTest, ReadyRequiresEveryParentAvailable) {
 // Sequential-mode guarantee (acceptance regression test)
 // ---------------------------------------------------------------------------
 
-TEST(StageRuntimeTest, OneLaneStageRuntimeIdenticalToSequentialLoop) {
-  const auto data = TinyData();
-  workload::MvWorkload wl = workload::BuildIo1();
-
-  storage::ThrottledDisk profile_disk(FreshDir("eq_profile"), FastDisk());
-  Controller profiler(&profile_disk, ControllerOptions{});
-  profiler.LoadBaseTables(data);
-  ASSERT_TRUE(profiler.ProfileAndAnnotate(&wl).ok);
-
-  const std::int64_t budget = 8LL * 1024 * 1024;
-  const auto plan = opt::Optimizer{}.Optimize(wl.graph, budget).plan;
-  ASSERT_FALSE(opt::FlaggedNodes(plan.flags).empty());
-
-  storage::ThrottledDisk disk_seq(FreshDir("eq_seq"), FastDisk());
-  ControllerOptions seq_options;
-  seq_options.budget = budget;
-  Controller sequential(&disk_seq, seq_options);
-  sequential.LoadBaseTables(data);
-  const RunReport seq = sequential.Run(wl, plan);
-  ASSERT_TRUE(seq.ok) << seq.error;
-
-  storage::ThrottledDisk disk_stage(FreshDir("eq_stage"), FastDisk());
-  ControllerOptions stage_options;
-  stage_options.budget = budget;
-  stage_options.max_parallel_nodes = 1;
-  stage_options.force_stage_runtime = true;
-  Controller staged(&disk_stage, stage_options);
-  staged.LoadBaseTables(data);
-  const RunReport stage = staged.Run(wl, plan);
-  ASSERT_TRUE(stage.ok) << stage.error;
-
-  // The paper-semantics invariants: identical node stats (modulo wall
-  // times), catalog hit/miss counts, and peak memory.
-  EXPECT_EQ(stage.parallel_lanes, 1);
-  EXPECT_EQ(seq.peak_memory, stage.peak_memory);
-  EXPECT_EQ(seq.catalog_hits, stage.catalog_hits);
-  EXPECT_EQ(seq.catalog_misses, stage.catalog_misses);
-  ASSERT_EQ(seq.nodes.size(), stage.nodes.size());
-  for (std::size_t i = 0; i < seq.nodes.size(); ++i) {
-    EXPECT_EQ(seq.nodes[i].name, stage.nodes[i].name);
-    EXPECT_EQ(seq.nodes[i].output_bytes, stage.nodes[i].output_bytes);
-    EXPECT_EQ(seq.nodes[i].output_rows, stage.nodes[i].output_rows);
-    EXPECT_EQ(seq.nodes[i].output_in_memory,
-              stage.nodes[i].output_in_memory);
-    EXPECT_EQ(seq.nodes[i].stage, stage.nodes[i].stage);
-  }
-  for (graph::NodeId v = 0; v < wl.graph.num_nodes(); ++v) {
-    const std::string& name = wl.graph.node(v).name;
-    EXPECT_TRUE(disk_seq.ReadTable(name) == disk_stage.ReadTable(name))
-        << name;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Parallel execution
 // ---------------------------------------------------------------------------
@@ -355,8 +302,9 @@ TEST(StageRuntimeTest, FourLaneRelaxedPublishMatchesSequentialStats) {
 // ControllerOptions::inline_node_cost_seconds execute on the coordinator
 // thread instead of a LanePool lane. The sequential-equivalence contract
 // must hold with the threshold active — identical node stats, catalog
-// hit/miss counts, peak memory, and MV bytes at 1 *and* 4 lanes — and
-// RunReport must expose how many nodes were inlined.
+// hit/miss counts, peak memory, and MV bytes at 4 lanes — and RunReport
+// must expose how many nodes were inlined. (At 1 lane the run takes the
+// sequential loop, which has no handoff to skip.)
 TEST(StageRuntimeTest, InlineDispatchKeepsSequentialEquivalence) {
   const auto data = TinyData();
   workload::MvWorkload wl = workload::BuildIo1();
@@ -382,14 +330,13 @@ TEST(StageRuntimeTest, InlineDispatchKeepsSequentialEquivalence) {
   EXPECT_EQ(seq.inlined_nodes, 0);
 
   // A threshold large enough that every profiled node qualifies; the
-  // whole run executes inline on the coordinator at any lane count.
-  for (const int lanes : {1, 4}) {
+  // whole run executes inline on the coordinator.
+  for (const int lanes : {4}) {
     storage::ThrottledDisk disk_par(
         FreshDir("inline_par" + std::to_string(lanes)), FastDisk());
     ControllerOptions par_options;
     par_options.budget = budget;
     par_options.max_parallel_nodes = lanes;
-    par_options.force_stage_runtime = true;
     par_options.inline_node_cost_seconds = 3600.0;
     Controller parallel(&disk_par, par_options);
     parallel.LoadBaseTables(data);
@@ -422,8 +369,8 @@ TEST(StageRuntimeTest, InlineDispatchKeepsSequentialEquivalence) {
 // observable output: with interior fan-out forced on (tiny per-morsel
 // cost target, no row floor), publish order, per-node stats, and the
 // MV bytes written to disk are identical to a run with morsels disabled
-// — at 1 lane (fan-out degenerates to the sequential path) and at 4
-// lanes (joins and aggregates actually split). RunReport::morsel_tasks
+// — at 1 lane (the sequential loop, single-morsel) and at 4 lanes (joins
+// and aggregates actually split). RunReport::morsel_tasks
 // must expose the fan-out at 4 lanes.
 TEST(StageRuntimeTest, MorselExecutionKeepsPublishOrderAndMvBytes) {
   const auto data = TinyData();
@@ -444,7 +391,6 @@ TEST(StageRuntimeTest, MorselExecutionKeepsPublishOrderAndMvBytes) {
         FreshDir("morsel_par" + std::to_string(lanes)), FastDisk());
     ControllerOptions par_options;
     par_options.max_parallel_nodes = lanes;
-    par_options.force_stage_runtime = true;
     // Every node overshoots a 1ns target, so each one gets the full
     // lane-capacity morsel budget; the row floor of 1 makes even the
     // tiny-scale tables split.
@@ -473,7 +419,7 @@ TEST(StageRuntimeTest, MorselExecutionKeepsPublishOrderAndMvBytes) {
     if (lanes > 1) {
       EXPECT_GT(par.morsel_tasks, 0) << lanes;
     } else {
-      // A 1-lane pool caps every morsel budget at 1: no fan-out.
+      // A 1-lane standalone run has no morsel pool: no fan-out.
       EXPECT_EQ(par.morsel_tasks, 0);
     }
   }
@@ -495,28 +441,6 @@ TEST(StageRuntimeTest, UnknownCostNodesAreNeverInlined) {
   ASSERT_TRUE(report.ok) << report.error;
   EXPECT_EQ(report.inlined_nodes, 0);
   EXPECT_EQ(report.parallel_lanes, 4);
-}
-
-// widen_stages must not break the error-report contract: an invalid plan
-// still yields report.error (validation runs before the widening pass,
-// whose DecomposeStages would otherwise throw out of Run).
-TEST(StageRuntimeTest, WidenStagesKeepsInvalidPlanErrorContract) {
-  const workload::MvWorkload wl = WideWorkload(4);
-  storage::ThrottledDisk disk(FreshDir("widen_invalid"), FastDisk());
-  ControllerOptions options;
-  options.widen_stages = true;
-  options.max_parallel_nodes = 4;
-  Controller controller(&disk, options);
-  opt::Plan bad;
-  // Reversed order: sink before its parents — not topological.
-  const graph::Order topo = graph::KahnTopologicalOrder(wl.graph);
-  std::vector<graph::NodeId> reversed(topo.sequence.rbegin(),
-                                      topo.sequence.rend());
-  bad.order = graph::Order::FromSequence(reversed);
-  bad.flags = opt::EmptyFlags(wl.graph.num_nodes());
-  const RunReport report = controller.Run(wl, bad);
-  EXPECT_FALSE(report.ok);
-  EXPECT_NE(report.error.find("invalid plan"), std::string::npos);
 }
 
 // Borrowed-pool mode: back-to-back parallel runs on one shared LanePool
@@ -617,7 +541,10 @@ TEST(MaterializerTest, ConcurrentEnqueueKeepsFifoAndDrainRacesClean) {
   std::vector<std::shared_future<void>> futures;  // global enqueue order
   std::mutex order_mutex;
   {
-    Materializer materializer(&disk);
+    // Spare lanes: FIFO order below also proves at most one drain task
+    // is ever in flight.
+    LanePool pool(4);
+    Materializer materializer(&disk, &pool);
     std::atomic<bool> stop{false};
     // A drainer racing the producers: Drain must never crash or wedge.
     std::thread drainer([&] {
@@ -653,6 +580,30 @@ TEST(MaterializerTest, ConcurrentEnqueueKeepsFifoAndDrainRacesClean) {
       EXPECT_TRUE(disk.Exists("mat_" + std::to_string(t) + "_" +
                               std::to_string(i)));
     }
+  }
+}
+
+// Destroying the Materializer right after a burst of enqueues must not
+// drop or abandon writes: the destructor returns only once the drain task
+// has persisted every queued table.
+TEST(MaterializerTest, DestructorWaitsForQueuedWrites) {
+  storage::ThrottledDisk disk(FreshDir("mat_dtor"), FastDisk());
+  std::vector<engine::Column> cols;
+  cols.push_back(engine::Column::FromInts({1, 2, 3}));
+  auto table = std::make_shared<engine::Table>(engine::Table(
+      engine::Schema({engine::Field{"x", engine::DataType::kInt64}}),
+      std::move(cols)));
+
+  constexpr int kWrites = 32;
+  LanePool pool(4);
+  {
+    Materializer materializer(&disk, &pool);
+    for (int i = 0; i < kWrites; ++i) {
+      materializer.Enqueue("mat_dtor_" + std::to_string(i), table);
+    }
+  }
+  for (int i = 0; i < kWrites; ++i) {
+    EXPECT_TRUE(disk.Exists("mat_dtor_" + std::to_string(i))) << i;
   }
 }
 
