@@ -4,6 +4,7 @@
 #include <chrono>
 #include <functional>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -278,6 +279,23 @@ struct RunState {
       pending_children[static_cast<std::size_t>(v)] =
           static_cast<std::int32_t>(g.children(v).size());
     }
+    // Every scan of a base table, keyed by its plan position, so the
+    // clean tier knows each table's next reader and its last one. MV
+    // names are left out: their residency is the plan's flags alone.
+    position.resize(pending_children.size());
+    for (std::size_t i = 0; i < plan.order.sequence.size(); ++i) {
+      position[static_cast<std::size_t>(plan.order.sequence[i])] =
+          static_cast<std::int64_t>(i);
+    }
+    base_scans.resize(pending_children.size());
+    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+      const auto slot = static_cast<std::size_t>(v);
+      for (std::string& table : wl.plans[slot]->ReferencedTables()) {
+        if (g.FindByName(table).has_value()) continue;
+        pending_scans[table].insert(position[slot]);
+        base_scans[slot].push_back(std::move(table));
+      }
+    }
   }
 
   const workload::MvWorkload& wl;
@@ -288,6 +306,16 @@ struct RunState {
   storage::MemoryCatalog catalog;
   Materializer materializer;
   std::vector<std::int32_t> pending_children;
+  /// Plan position of each node, and the base tables each node scans.
+  std::vector<std::int64_t> position;
+  std::vector<std::vector<std::string>> base_scans;
+  /// Per base table, the plan positions of the scans still to finish.
+  /// The key set is fixed at construction; the sets are guarded by
+  /// scans_mutex, which is taken before the catalog's own lock.
+  std::map<std::string, std::multiset<std::int64_t>> pending_scans;
+  std::mutex scans_mutex;
+  std::atomic<std::int64_t> base_input_hits{0};
+  std::atomic<std::int64_t> base_input_disk_reads{0};
   std::map<std::string, std::shared_future<void>> in_flight;
   std::vector<graph::NodeId> releasable;
   /// Pool backing interior morsel fan-out and its lane cap (set by
@@ -340,6 +368,68 @@ engine::TablePtr ApplyResidency(engine::TablePtr table, bool compress) {
     converted->mutable_column(i) = std::move(replacement);
   }
   return converted != nullptr ? std::move(converted) : std::move(table);
+}
+
+/// External-storage reads of one node attempt.
+struct InputReads {
+  double seconds = 0.0;
+  std::int32_t base_reads = 0;
+  std::int64_t base_bytes = 0;
+};
+
+/// Resolves a scan that the catalog's flagged entries did not serve. A
+/// base table comes from the clean tier when resident; otherwise it is
+/// read from external storage and, while another scan of it is still
+/// pending, offered to the clean tier's free budget with that scan's
+/// plan position as its next use. A read that fails — a damaged file
+/// failing its checksum — throws before admission, so it is never kept.
+engine::TablePtr ReadInput(RunState& s, graph::NodeId v,
+                           const std::string& name, InputReads* reads) {
+  const auto scans = s.pending_scans.find(name);
+  const bool base = scans != s.pending_scans.end();
+  if (base) {
+    if (engine::TablePtr clean = s.catalog.GetClean(name)) {
+      s.base_input_hits.fetch_add(1, std::memory_order_relaxed);
+      return clean;
+    }
+  }
+  const double start = MonotonicSeconds();
+  auto table = std::make_shared<engine::Table>(s.disk->ReadTable(name));
+  reads->seconds += MonotonicSeconds() - start;
+  if (!base) return table;
+  ++reads->base_reads;
+  reads->base_bytes += std::max<std::int64_t>(0, s.disk->FileSize(name));
+  s.base_input_disk_reads.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(s.scans_mutex);
+  // The next use is the earliest pending scan other than this one.
+  const std::multiset<std::int64_t>& pending = scans->second;
+  auto next = pending.begin();
+  if (next != pending.end() &&
+      *next == s.position[static_cast<std::size_t>(v)]) {
+    ++next;
+  }
+  if (next != pending.end()) {
+    s.catalog.AdmitClean(name, table, table->ByteSize(), *next);
+  }
+  return table;
+}
+
+/// Retires node `v`'s base-table scans once it finished (or was reused
+/// without executing): a table whose last scan is done leaves the clean
+/// tier; the others move on to their next reader.
+void FinishScans(RunState& s, graph::NodeId v) {
+  const auto slot = static_cast<std::size_t>(v);
+  if (s.base_scans[slot].empty()) return;
+  std::lock_guard<std::mutex> lock(s.scans_mutex);
+  for (const std::string& name : s.base_scans[slot]) {
+    std::multiset<std::int64_t>& pending = s.pending_scans.find(name)->second;
+    pending.erase(pending.find(s.position[slot]));
+    if (pending.empty()) {
+      s.catalog.Release(name);
+    } else {
+      s.catalog.SetCleanNextUse(name, *pending.begin());
+    }
+  }
 }
 
 /// Executes node `v`'s plan, resolving inputs through the Memory Catalog
@@ -404,6 +494,7 @@ NodeResult ExecuteNode(RunState& s, graph::NodeId v,
       s.catalog.MarkSharedDurable(stats.name);
     }
     result.output = std::move(reused);
+    FinishScans(s, v);
     emit_node_span(stats);
     return result;
   }
@@ -445,15 +536,10 @@ NodeResult ExecuteNode(RunState& s, graph::NodeId v,
       if (s.options.faults != nullptr) {
         s.options.faults->MaybeThrow(fault::Site::kNodeExecute, stats.name);
       }
-      double read_seconds = 0.0;
+      InputReads reads;
       engine::FnResolver resolver([&](const std::string& name) {
         engine::TablePtr cached = s.catalog.Get(name);
-        if (cached != nullptr) return cached;
-        const double start = MonotonicSeconds();
-        auto table =
-            std::make_shared<engine::Table>(s.disk->ReadTable(name));
-        read_seconds += MonotonicSeconds() - start;
-        return engine::TablePtr(table);
+        return cached != nullptr ? cached : ReadInput(s, v, name, &reads);
       });
 
       const double exec_start = MonotonicSeconds();
@@ -475,8 +561,10 @@ NodeResult ExecuteNode(RunState& s, graph::NodeId v,
       result.output = ApplyResidency(std::move(result.output),
                                      s.options.compress_residency);
       const double exec_seconds = MonotonicSeconds() - exec_start;
-      stats.read_seconds = read_seconds;
-      stats.compute_seconds = std::max(0.0, exec_seconds - read_seconds);
+      stats.read_seconds = reads.seconds;
+      stats.compute_seconds = std::max(0.0, exec_seconds - reads.seconds);
+      stats.base_disk_reads = reads.base_reads;
+      stats.base_disk_bytes = reads.base_bytes;
       stats.output_bytes = result.output->ByteSize();
       stats.output_rows = result.output->num_rows();
 
@@ -505,6 +593,7 @@ NodeResult ExecuteNode(RunState& s, graph::NodeId v,
       BackoffSleep(attempt, s.options.retry_backoff_ms, s.options.cancel);
     }
   }
+  FinishScans(s, v);
   emit_node_span(stats);
   return result;
 }
@@ -980,6 +1069,15 @@ RunReport Controller::RunWithBudget(const workload::MvWorkload& wl,
       report.cancel_reason = options_.cancel->reason();
     }
   };
+  // Counters a failed run reports too.
+  auto collect = [&] {
+    report.node_retries = state.retries.load(std::memory_order_relaxed);
+    report.base_input_hits =
+        state.base_input_hits.load(std::memory_order_relaxed);
+    report.base_input_disk_reads =
+        state.base_input_disk_reads.load(std::memory_order_relaxed);
+    report.resident_peak_bytes = state.catalog.resident_peak_bytes();
+  };
   const double run_start = MonotonicSeconds();
   try {
     if (lanes > 1) {
@@ -989,12 +1087,12 @@ RunReport Controller::RunWithBudget(const workload::MvWorkload& wl,
     }
   } catch (const std::exception& e) {
     report.error = e.what();
-    report.node_retries = state.retries.load(std::memory_order_relaxed);
+    collect();
     classify_cancel();
     return report;
   }
   report.wall_seconds = MonotonicSeconds() - run_start;
-  report.node_retries = state.retries.load(std::memory_order_relaxed);
+  collect();
   report.peak_memory = state.catalog.peak_bytes();
   report.catalog_hits = state.catalog.hits();
   report.catalog_misses = state.catalog.misses();
@@ -1025,25 +1123,18 @@ RunReport Controller::ProfileAndAnnotate(workload::MvWorkload* wl) {
     // Every node of the unoptimized run wrote its file.
     info.disk_bytes = std::max<std::int64_t>(0, disk_->FileSize(stats.name));
     info.compute_seconds = stats.compute_seconds;
-    // Approximate base input volume by inverting the cost model's read
-    // charge over the observed read time: in the unoptimized run every
-    // parent is a disk read costing one access latency plus its file at
-    // read bandwidth, and the base inputs cost one more latency plus
-    // their bytes. What remains after those charges is base-table file
-    // volume (reads are padded for on-disk bytes); further base-table
-    // accesses fold in as equivalent bytes, so the simulated unoptimized
-    // read time reproduces the measured one.
+    // Base input volume, counted rather than timed: the files the node
+    // read from storage (reads are padded for on-disk bytes). The cost
+    // model charges a node's base inputs one access latency, so every
+    // further access folds in as a latency's worth of bytes — the
+    // simulated unoptimized read time then reproduces the counted one.
+    // Scans the clean tier served cost nothing and count nothing.
     const storage::DiskProfile& dp = disk_->profile();
-    std::int64_t parent_bytes = 0;
-    for (graph::NodeId p : wl->graph.parents(*id)) {
-      parent_bytes += wl->graph.node(p).DiskBytes();
-    }
-    const double charged_latency =
-        static_cast<double>(wl->graph.parents(*id).size() + 1) * dp.latency;
-    const std::int64_t observed = static_cast<std::int64_t>(
-        std::max(0.0, stats.read_seconds - charged_latency) * dp.read_bw);
-    info.base_input_bytes = std::max<std::int64_t>(0,
-                                                   observed - parent_bytes);
+    const double extra_accesses =
+        static_cast<double>(std::max(0, stats.base_disk_reads - 1));
+    info.base_input_bytes =
+        stats.base_disk_bytes +
+        static_cast<std::int64_t>(extra_accesses * dp.latency * dp.read_bw);
   }
   cost::DeviceProfile profile;
   profile.disk_read_bw = disk_->profile().read_bw;

@@ -255,6 +255,11 @@ struct NodeRunStats {
   bool reused_cross_job = false;
   /// Transient-failure retries this node consumed before succeeding.
   std::int32_t retries = 0;
+  /// Base-table scans this node served from external storage (clean-tier
+  /// hits excluded) and the bytes of those files as stored — the counted
+  /// input of ProfileAndAnnotate's base_input_bytes.
+  std::int32_t base_disk_reads = 0;
+  std::int64_t base_disk_bytes = 0;
 };
 
 struct RunReport {
@@ -274,10 +279,20 @@ struct RunReport {
   /// Memory Catalog budget this run actually executed under (equals the
   /// controller's configured budget unless an external grant overrode it).
   std::int64_t budget = 0;
-  /// Input resolutions served from the Memory Catalog vs. falling through
-  /// to external storage.
+  /// Input resolutions served from the Memory Catalog's MV entries
+  /// (cross-job hits included) vs. not. Base-table scans always count as
+  /// misses, whichever tier then serves them, so the clean tier moves
+  /// neither figure.
   std::int64_t catalog_hits = 0;
   std::int64_t catalog_misses = 0;
+  /// Base-table scans served from the catalog's clean tier vs. read from
+  /// external storage. Which scan reads first depends on lane timing, so
+  /// parallel runs may split these differently from sequential ones.
+  std::int64_t base_input_hits = 0;
+  std::int64_t base_input_disk_reads = 0;
+  /// High-water mark of flagged + clean-tier bytes; never above budget.
+  /// (peak_memory covers the flagged entries alone.)
+  std::int64_t resident_peak_bytes = 0;
   /// Execution lanes the run actually used (min of max_parallel_nodes and
   /// the widest antichain; 1 for sequential runs).
   int parallel_lanes = 1;
@@ -316,6 +331,13 @@ struct RunReport {
 /// are materialized to external storage exactly as defined; flagged nodes
 /// are additionally kept in the Memory Catalog until their last consumer
 /// finishes, with their disk write running in the background.
+///
+/// Base tables ride in the budget the plan leaves free: a base table read
+/// from storage while a later node still scans it enters the catalog's
+/// clean tier and leaves after its last scan (or earlier, whenever a
+/// flagged Put or a reservation needs the room). MV names never enter the
+/// clean tier, so which outputs stay resident remains the optimizer's
+/// decision and the unoptimized run keeps no MV in memory.
 ///
 /// With max_parallel_nodes > 1 the run executes on the stage-scheduled
 /// parallel runtime: a StageScheduler derives antichain stages from the
@@ -367,8 +389,9 @@ class Controller {
   RunReport RunUnoptimized(const workload::MvWorkload& wl);
 
   /// Runs unoptimized while recording execution metadata (§III-A) into the
-  /// workload's graph: output sizes, compute seconds, base input bytes,
-  /// and speedup scores derived from the disk profile. This is the
+  /// workload's graph: output sizes, compute seconds, base input bytes
+  /// (counted from the node's base-table reads, not timed), and speedup
+  /// scores derived from the disk profile. This is the
   /// "observed performance metrics from past runs" the Optimizer consumes.
   RunReport ProfileAndAnnotate(workload::MvWorkload* wl);
 

@@ -742,6 +742,11 @@ JobResult RefreshService::FinishJob(Job& job, JobResult result,
         ->Increment(result.report.node_retries);
   }
   registry_
+      .GetCounter("sc_base_input_hits_total",
+                  "Base-table scans served from the Memory Catalog's "
+                  "clean tier instead of external storage")
+      ->Increment(result.report.base_input_hits);
+  registry_
       .GetHistogram("sc_job_queue_wait_seconds",
                     "Admission-queue + budget-arbitration wait per job")
       ->Observe(result.queue_wait_seconds);

@@ -30,15 +30,18 @@ bool MemoryCatalog::Put(const std::string& name, engine::TablePtr table,
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const std::int64_t used = used_.load(std::memory_order_relaxed);
-    if (size < 0 || used + size > budget_) return false;
-    auto [it, inserted] = entries_.emplace(name, Entry{table, size});
-    if (!inserted) return false;
+    if (size < 0 || used + size > budget_ || entries_.count(name) > 0) {
+      return false;
+    }
+    DropCleanToFit(used + size);
+    entries_.emplace(name, Entry{table, size});
     const std::int64_t now = used + size;
     used_.store(now, std::memory_order_relaxed);
     // The mutex serializes writers, so a plain max-update suffices.
     if (now > peak_.load(std::memory_order_relaxed)) {
       peak_.store(now, std::memory_order_relaxed);
     }
+    NoteResident();
     if (shared_ != nullptr) {
       auto b = bindings_.find(name);
       if (b != bindings_.end()) {
@@ -76,6 +79,66 @@ bool MemoryCatalog::Put(const std::string& name, engine::TablePtr table,
     }
   }
   return true;
+}
+
+void MemoryCatalog::DropCleanToFit(std::int64_t other) {
+  std::int64_t clean = clean_.load(std::memory_order_relaxed);
+  while (other + clean > budget_ && !clean_entries_.empty()) {
+    auto victim = std::max_element(
+        clean_entries_.begin(), clean_entries_.end(),
+        [](const auto& a, const auto& b) {
+          return a.second.next_use < b.second.next_use;
+        });
+    clean -= victim->second.size;
+    clean_entries_.erase(victim);
+  }
+  clean_.store(clean, std::memory_order_relaxed);
+}
+
+void MemoryCatalog::NoteResident() {
+  const std::int64_t now = used_.load(std::memory_order_relaxed) +
+                           clean_.load(std::memory_order_relaxed);
+  if (now > resident_peak_.load(std::memory_order_relaxed)) {
+    resident_peak_.store(now, std::memory_order_relaxed);
+  }
+}
+
+bool MemoryCatalog::AdmitClean(const std::string& name,
+                               engine::TablePtr table, std::int64_t size,
+                               std::int64_t next_use) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (size < 0 || entries_.count(name) > 0 ||
+      clean_entries_.count(name) > 0) {
+    return false;
+  }
+  const std::int64_t held = used_.load(std::memory_order_relaxed) +
+                            reserved_.load(std::memory_order_relaxed) + size;
+  // Only entries read later than the newcomer may make room for it; if
+  // dropping all of them is not enough, nothing is dropped. Farthest-
+  // first dropping then never reaches an entry read sooner.
+  std::int64_t kept = 0;
+  for (const auto& [other, entry] : clean_entries_) {
+    if (entry.next_use <= next_use) kept += entry.size;
+  }
+  if (held + kept > budget_) return false;
+  DropCleanToFit(held);
+  clean_entries_.emplace(name, Entry{std::move(table), size, next_use});
+  clean_.fetch_add(size, std::memory_order_relaxed);
+  NoteResident();
+  return true;
+}
+
+engine::TablePtr MemoryCatalog::GetClean(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = clean_entries_.find(name);
+  return it == clean_entries_.end() ? nullptr : it->second.table;
+}
+
+void MemoryCatalog::SetCleanNextUse(const std::string& name,
+                                    std::int64_t next_use) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = clean_entries_.find(name);
+  if (it != clean_entries_.end()) it->second.next_use = next_use;
 }
 
 bool MemoryCatalog::PublishShared(const std::string& name,
@@ -249,10 +312,14 @@ bool MemoryCatalog::Contains(const std::string& name) const {
 
 void MemoryCatalog::Release(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(name);
-  if (it == entries_.end()) return;
-  used_.fetch_sub(it->second.size, std::memory_order_relaxed);
-  entries_.erase(it);
+  if (auto it = entries_.find(name); it != entries_.end()) {
+    used_.fetch_sub(it->second.size, std::memory_order_relaxed);
+    entries_.erase(it);
+  } else if (auto clean = clean_entries_.find(name);
+             clean != clean_entries_.end()) {
+    clean_.fetch_sub(clean->second.size, std::memory_order_relaxed);
+    clean_entries_.erase(clean);
+  }
 }
 
 bool MemoryCatalog::Reserve(const std::string& name, std::int64_t bytes) {
@@ -266,6 +333,7 @@ bool MemoryCatalog::Reserve(const std::string& name, std::int64_t bytes) {
   }
   auto [it, inserted] = reservations_.emplace(name, bytes);
   if (!inserted) return false;
+  DropCleanToFit(used + reserved + bytes);
   reserved_.store(reserved + bytes, std::memory_order_relaxed);
   return true;
 }
@@ -287,8 +355,10 @@ void MemoryCatalog::Clear() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     entries_.clear();
+    clean_entries_.clear();
     reservations_.clear();
     used_.store(0, std::memory_order_relaxed);
+    clean_.store(0, std::memory_order_relaxed);
     reserved_.store(0, std::memory_order_relaxed);
   }
   UnpinShared();

@@ -48,6 +48,17 @@ namespace sc::storage {
 /// Put() enforces the budget strictly: the Controller (and the optimizer's
 /// feasibility guarantee) must release entries before creating new ones,
 /// so a failed Put is a plan bug, not a runtime condition to paper over.
+///
+/// Clean tier: besides the flagged (dirty until materialized) entries,
+/// the catalog holds already-durable tables — base inputs the run will
+/// read again — in whatever budget the flagged entries and reservations
+/// leave free. A clean entry never changes a Put or Reserve outcome: it
+/// is admitted only while MV + clean + reserved + size <= budget, and
+/// Put/Reserve drop clean entries (farthest next use first, Belady's
+/// rule) whenever that is what it takes to succeed. Nothing waits on the
+/// Materializer to drop one — its bytes are on disk already. Clean
+/// entries count in resident_peak_bytes(), never in used_bytes(),
+/// peak_bytes(), hits() or misses().
 class MemoryCatalog {
  public:
   /// Observes cross-job pin lifecycle: (content key, bytes, pinned).
@@ -81,6 +92,24 @@ class MemoryCatalog {
   bool Put(const std::string& name, engine::TablePtr table,
            std::int64_t size);
 
+  /// Clean-tier admission of `table` (already durable on external
+  /// storage) under `name`, whose next reader sits at plan position
+  /// `next_use`. Succeeds only into free budget (MV + clean + reserved +
+  /// `size` <= budget), making room by dropping clean entries whose next
+  /// use lies farther than `next_use` — never a flagged entry or a
+  /// reservation. Returns false (admitting nothing, dropping nothing)
+  /// when that cannot fit it, when `size` is negative, or when `name` is
+  /// already resident in either tier.
+  bool AdmitClean(const std::string& name, engine::TablePtr table,
+                  std::int64_t size, std::int64_t next_use);
+
+  /// Returns the clean entry under `name`, or nullptr. Counts nothing.
+  engine::TablePtr GetClean(const std::string& name) const;
+
+  /// Moves a clean entry's next use (plan position of its next reader).
+  /// No-op if `name` holds no clean entry.
+  void SetCleanNextUse(const std::string& name, std::int64_t next_use);
+
   /// Returns the table or nullptr if not resident. Counts a hit or miss.
   /// With a shared layer, a private miss falls through to the cross-job
   /// store: a resident bound entry is pinned, retained for the rest of
@@ -90,9 +119,9 @@ class MemoryCatalog {
 
   bool Contains(const std::string& name) const;
 
-  /// Releases `name`, freeing its bytes. No-op if absent. The shared
-  /// copy (if published) stays — cross-job residency outlives the
-  /// producing job's private residency.
+  /// Releases `name` from whichever tier holds it, freeing its bytes.
+  /// No-op if absent. The shared copy (if published) stays — cross-job
+  /// residency outlives the producing job's private residency.
   void Release(const std::string& name);
 
   /// Cross-job output reuse: if `name`'s bound content key is resident
@@ -185,6 +214,15 @@ class MemoryCatalog {
   std::int64_t peak_bytes() const {
     return peak_.load(std::memory_order_relaxed);
   }
+  /// Bytes of clean-tier entries (not counted in used_bytes()).
+  std::int64_t clean_bytes() const {
+    return clean_.load(std::memory_order_relaxed);
+  }
+  /// High-water mark of used_bytes + clean_bytes: everything resident,
+  /// never above the budget.
+  std::int64_t resident_peak_bytes() const {
+    return resident_peak_.load(std::memory_order_relaxed);
+  }
   std::size_t size() const;
 
   /// Lookup counters: a hit is a Get() served from memory, a miss a Get()
@@ -213,6 +251,8 @@ class MemoryCatalog {
   struct Entry {
     engine::TablePtr table;
     std::int64_t size;
+    /// Clean tier only: plan position of the entry's next reader.
+    std::int64_t next_use = 0;
   };
   struct SharedPin {
     std::uint64_t key = 0;
@@ -234,11 +274,19 @@ class MemoryCatalog {
                                 bool* durable = nullptr,
                                 std::int64_t* bytes = nullptr) const;
 
+  /// Drops clean entries, farthest next use first, until `other` bytes
+  /// plus the clean tier fit the budget. Requires mutex_.
+  void DropCleanToFit(std::int64_t other);
+  /// Raises the resident high-water mark to the current MV + clean
+  /// bytes. Requires mutex_.
+  void NoteResident();
+
   const std::int64_t budget_;
   SharedCatalog* const shared_;  // not owned; may be null
   SharedPinListener listener_;
   mutable std::mutex mutex_;
   std::map<std::string, Entry> entries_;
+  std::map<std::string, Entry> clean_entries_;
   std::map<std::string, std::int64_t> reservations_;
   std::map<std::string, std::uint64_t> bindings_;
   /// Names this view itself published into the shared layer: reading
@@ -254,6 +302,8 @@ class MemoryCatalog {
   mutable std::atomic<std::int64_t> reserve_denials_{0};
   std::atomic<std::int64_t> used_{0};
   std::atomic<std::int64_t> peak_{0};
+  std::atomic<std::int64_t> clean_{0};
+  std::atomic<std::int64_t> resident_peak_{0};
   mutable std::atomic<std::int64_t> hits_{0};
   mutable std::atomic<std::int64_t> misses_{0};
   mutable std::atomic<std::int64_t> cross_job_hits_{0};

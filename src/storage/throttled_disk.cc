@@ -152,6 +152,7 @@ engine::Table ThrottledDisk::ReadTable(const std::string& name) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     total_read_seconds_ += elapsed;
+    ++read_counts_[name];
   }
   return std::move(*table);
 }
@@ -187,6 +188,12 @@ double ThrottledDisk::total_read_seconds() const {
 double ThrottledDisk::total_write_seconds() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return total_write_seconds_;
+}
+
+std::int64_t ThrottledDisk::read_count(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = read_counts_.find(name);
+  return it == read_counts_.end() ? 0 : it->second;
 }
 
 }  // namespace sc::storage

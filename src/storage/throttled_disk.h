@@ -82,6 +82,9 @@ class ThrottledDisk {
   double total_read_seconds() const;
   double total_write_seconds() const;
 
+  /// Completed ReadTable calls for `name` since construction.
+  std::int64_t read_count(const std::string& name) const;
+
   /// Failure injection (tests): the next write of table `name` throws
   /// std::runtime_error instead of persisting (one-shot). Used to verify
   /// that materialization failures propagate through the background
@@ -114,6 +117,7 @@ class ThrottledDisk {
   std::map<std::string, std::shared_ptr<std::shared_mutex>> file_locks_;
   double total_read_seconds_ = 0.0;
   double total_write_seconds_ = 0.0;
+  std::map<std::string, std::int64_t> read_counts_;
   std::set<std::string> write_failures_;
   fault::FaultInjector* fault_injector_ = nullptr;  // not owned
 };

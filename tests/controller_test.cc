@@ -182,14 +182,15 @@ TEST(ControllerTest, ProfileAnnotatesMetadata) {
 }
 
 TEST(ControllerTest, ProfiledReadsReproduceInSimulator) {
-  // The profile inverts the cost model's read charge (one latency plus
-  // the file per parent, one latency plus the bytes for base inputs), so
-  // simulating the unoptimized run charges each node the read time it
-  // was measured at — not one extra latency per access on top.
+  // The profile counts each node's base-table reads and their file bytes
+  // (every access after the first folded in as equivalent bytes), so
+  // simulating the unoptimized run charges each node exactly the read
+  // time of its counted accesses: one latency plus the file per parent
+  // and per base-table read. Scans served from the clean tier cost and
+  // count nothing.
   storage::DiskProfile profile;
   profile.read_bw = 50e6;
   profile.write_bw = 1e9;
-  // Sleep overshoot on a loaded host stays well under half of this.
   profile.latency = 10e-3;
   storage::ThrottledDisk disk(FreshDir("profile_sim"), profile);
   Controller controller(&disk, ControllerOptions{});
@@ -206,9 +207,71 @@ TEST(ControllerTest, ProfiledReadsReproduceInSimulator) {
   const sim::RunResult simulated = sim::SimulateNoOpt(wl.graph, options);
   for (const NodeRunStats& stats : report.nodes) {
     const graph::NodeId v = *wl.graph.FindByName(stats.name);
+    double counted = stats.base_disk_reads * profile.latency +
+                     static_cast<double>(stats.base_disk_bytes) /
+                         profile.read_bw;
+    for (const graph::NodeId p : wl.graph.parents(v)) {
+      counted += profile.latency +
+                 static_cast<double>(wl.graph.node(p).DiskBytes()) /
+                     profile.read_bw;
+    }
     EXPECT_NEAR(simulated.per_node[static_cast<std::size_t>(v)].read_seconds,
-                stats.read_seconds, 0.5 * profile.latency)
+                counted, 0.5 * profile.latency)
         << stats.name;
+  }
+}
+
+/// Scans of `table` across the workload's plans.
+int ScansOf(const workload::MvWorkload& wl, const std::string& table) {
+  int scans = 0;
+  for (const engine::PlanPtr& plan : wl.plans) {
+    for (const std::string& name : plan->ReferencedTables()) {
+      scans += name == table ? 1 : 0;
+    }
+  }
+  return scans;
+}
+
+TEST(ControllerTest, BaseTableStaysResidentAcrossItsScans) {
+  // "item" is scanned by the three channel joins. With room in the
+  // budget the first read keeps it in the clean tier until the last scan;
+  // at budget 0 every scan goes to storage. Either way the MVs match.
+  const auto data = TinyData();
+  const workload::MvWorkload wl = TinyWorkload();
+  ASSERT_EQ(ScansOf(wl, "item"), 3);
+
+  storage::ThrottledDisk roomy_disk(FreshDir("clean_roomy"), FastDisk());
+  Controller roomy(&roomy_disk, ControllerOptions{});
+  roomy.LoadBaseTables(data);
+  const RunReport with_room = roomy.RunUnoptimized(wl);
+  ASSERT_TRUE(with_room.ok) << with_room.error;
+  EXPECT_EQ(roomy_disk.read_count("item"), 1);
+  EXPECT_GE(with_room.base_input_hits, 2);
+  EXPECT_GT(with_room.resident_peak_bytes, 0);
+  EXPECT_LE(with_room.resident_peak_bytes, with_room.budget);
+  EXPECT_EQ(with_room.peak_memory, 0);  // no MV entered the catalog
+
+  storage::ThrottledDisk tight_disk(FreshDir("clean_tight"), FastDisk());
+  ControllerOptions tight_options;
+  tight_options.budget = 0;
+  Controller tight(&tight_disk, tight_options);
+  tight.LoadBaseTables(data);
+  const RunReport without_room = tight.RunUnoptimized(wl);
+  ASSERT_TRUE(without_room.ok) << without_room.error;
+  EXPECT_EQ(tight_disk.read_count("item"), 3);
+  EXPECT_EQ(without_room.base_input_hits, 0);
+  EXPECT_EQ(without_room.resident_peak_bytes, 0);
+
+  // Every scan is counted once, served from either tier.
+  EXPECT_EQ(with_room.base_input_hits + with_room.base_input_disk_reads,
+            without_room.base_input_disk_reads);
+  // The MV tier's figures do not see the clean tier.
+  EXPECT_EQ(with_room.catalog_hits, without_room.catalog_hits);
+  EXPECT_EQ(with_room.catalog_misses, without_room.catalog_misses);
+  for (graph::NodeId v = 0; v < wl.graph.num_nodes(); ++v) {
+    const std::string& name = wl.graph.node(v).name;
+    EXPECT_TRUE(roomy_disk.ReadTable(name) == tight_disk.ReadTable(name))
+        << name;
   }
 }
 

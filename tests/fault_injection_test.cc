@@ -358,6 +358,32 @@ TEST(FaultInjectionTest, TransientFaultWithRetriesIsBitIdentical) {
   }
 }
 
+TEST(FaultInjectionTest, CorruptBaseTableIsNeverAdmitted) {
+  // A damaged base-table file fails its verified read before the clean
+  // tier could keep it, so no scan of it is ever served from memory.
+  // Once repaired, its first read is kept for the later scans again.
+  storage::ThrottledDisk disk(FreshDir("corrupt_base"), FastDisk());
+  workload::DataGenOptions data_options;
+  data_options.scale = 0.03;
+  const auto data = workload::GenerateTpcdsData(data_options);
+  runtime::Controller controller(&disk, runtime::ControllerOptions{});
+  controller.LoadBaseTables(data);
+  fault::CorruptFile(disk.root_dir() + "/item.sct",
+                     {fault::CorruptKind::kBitFlip, 0.5, 0.25});
+  const workload::MvWorkload wl = workload::BuildIo1();
+
+  const runtime::RunReport broken = controller.RunUnoptimized(wl);
+  EXPECT_FALSE(broken.ok);
+  EXPECT_EQ(disk.read_count("item"), 0);  // no verified read completed
+  EXPECT_LE(broken.resident_peak_bytes, broken.budget);
+
+  controller.LoadBaseTables({{"item", data.at("item")}});
+  const runtime::RunReport repaired = controller.RunUnoptimized(wl);
+  ASSERT_TRUE(repaired.ok) << repaired.error;
+  EXPECT_EQ(disk.read_count("item"), 1);
+  EXPECT_GT(repaired.base_input_hits, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Graceful degradation under overload
 // ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <random>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -160,6 +162,122 @@ TEST(MemoryCatalogTest, ConcurrentPutsStayWithinBudget) {
   for (auto& t : threads) t.join();
   EXPECT_LE(catalog.used_bytes(), 1000);
   EXPECT_LE(catalog.peak_bytes(), 1000);
+}
+
+// ---------------------------------------------------------------------------
+// Clean tier: durable tables in the budget the flagged entries leave free
+// ---------------------------------------------------------------------------
+
+TEST(MemoryCatalogCleanTest, AdmitsOnlyIntoFreeBudget) {
+  MemoryCatalog catalog(100);
+  ASSERT_TRUE(catalog.Put("mv", Tiny(), 50));
+  ASSERT_TRUE(catalog.Reserve("next", 20));
+  EXPECT_FALSE(catalog.AdmitClean("big", Tiny(), 31, 5));  // 50+20+31
+  EXPECT_TRUE(catalog.AdmitClean("base", Tiny(), 30, 5));  // exactly fits
+  EXPECT_FALSE(catalog.AdmitClean("more", Tiny(), 1, 9));  // no room left
+  EXPECT_FALSE(catalog.AdmitClean("base", Tiny(), 1, 5));  // duplicate
+  EXPECT_FALSE(catalog.AdmitClean("mv", Tiny(), 1, 5));    // flagged name
+  EXPECT_FALSE(catalog.AdmitClean("neg", Tiny(), -1, 5));
+  EXPECT_EQ(catalog.clean_bytes(), 30);
+  EXPECT_EQ(catalog.used_bytes(), 50);  // MV accounting untouched
+  EXPECT_EQ(catalog.peak_bytes(), 50);
+  EXPECT_EQ(catalog.resident_peak_bytes(), 80);
+  // Served without touching the MV tier's lookup counters.
+  EXPECT_NE(catalog.GetClean("base"), nullptr);
+  EXPECT_EQ(catalog.GetClean("mv"), nullptr);
+  EXPECT_EQ(catalog.Get("base"), nullptr);
+  EXPECT_FALSE(catalog.Contains("base"));
+  EXPECT_EQ(catalog.hits(), 0);
+  EXPECT_EQ(catalog.misses(), 1);
+}
+
+TEST(MemoryCatalogCleanTest, FarthestNextUseDropsFirst) {
+  MemoryCatalog catalog(100);
+  ASSERT_TRUE(catalog.AdmitClean("soon", Tiny(), 40, 2));
+  ASSERT_TRUE(catalog.AdmitClean("late", Tiny(), 40, 9));
+  // Room for a newcomer is made only from entries read after it.
+  EXPECT_FALSE(catalog.AdmitClean("later", Tiny(), 30, 10));
+  EXPECT_TRUE(catalog.AdmitClean("mid", Tiny(), 30, 5));  // drops "late"
+  EXPECT_EQ(catalog.GetClean("late"), nullptr);
+  EXPECT_NE(catalog.GetClean("soon"), nullptr);
+  // Once "soon"'s reader has passed, its next use (7) lies beyond
+  // "mid"'s (5): a flagged Put that needs room drops it, and dropping
+  // it alone is enough.
+  catalog.SetCleanNextUse("soon", 7);
+  ASSERT_TRUE(catalog.Put("mv", Tiny(), 60));
+  EXPECT_EQ(catalog.GetClean("soon"), nullptr);
+  EXPECT_NE(catalog.GetClean("mid"), nullptr);
+  EXPECT_EQ(catalog.clean_bytes(), 30);
+}
+
+TEST(MemoryCatalogCleanTest, PutAndReserveIgnoreCleanEntries) {
+  // The same Put/Reserve/Release script against a catalog with and one
+  // without clean entries: every outcome and every MV-tier figure must
+  // match, and the clean tier must never push residency over budget.
+  constexpr std::int64_t kBudget = 1000;
+  MemoryCatalog plain(kBudget);
+  MemoryCatalog mixed(kBudget);
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<int> op(0, 5);
+  std::uniform_int_distribution<std::int64_t> bytes(0, 400);
+  std::uniform_int_distribution<int> slot(0, 7);
+  for (int step = 0; step < 2000; ++step) {
+    const std::string name = "n" + std::to_string(slot(rng));
+    const std::int64_t size = bytes(rng);
+    switch (op(rng)) {
+      case 0:
+      case 1:
+        ASSERT_EQ(plain.Put(name, Tiny(), size),
+                  mixed.Put(name, Tiny(), size))
+            << step;
+        break;
+      case 2: {
+        const bool granted = plain.Reserve(name, size);
+        ASSERT_EQ(granted, mixed.Reserve(name, size)) << step;
+        // A granted reservation has its room free of clean entries.
+        if (granted) {
+          ASSERT_LE(mixed.used_bytes() + mixed.reserved_bytes() +
+                        mixed.clean_bytes(),
+                    kBudget)
+              << step;
+        }
+        break;
+      }
+      case 3:
+        plain.CancelReservation(name);
+        mixed.CancelReservation(name);
+        break;
+      case 4:
+        plain.Release(name);
+        mixed.Release(name);
+        break;
+      default:
+        mixed.AdmitClean("base" + std::to_string(slot(rng)), Tiny(), size,
+                         step + slot(rng));
+        break;
+    }
+    ASSERT_EQ(plain.used_bytes(), mixed.used_bytes()) << step;
+    ASSERT_EQ(plain.reserved_bytes(), mixed.reserved_bytes()) << step;
+    ASSERT_LE(mixed.used_bytes() + mixed.clean_bytes(), kBudget) << step;
+  }
+  EXPECT_GT(mixed.resident_peak_bytes(), mixed.peak_bytes());
+  EXPECT_LE(mixed.resident_peak_bytes(), kBudget);
+  EXPECT_EQ(plain.peak_bytes(), mixed.peak_bytes());
+  EXPECT_EQ(plain.reserve_denials(), mixed.reserve_denials());
+  EXPECT_EQ(plain.resident_peak_bytes(), plain.peak_bytes());
+}
+
+TEST(MemoryCatalogCleanTest, ReleaseDropsCleanEntry) {
+  MemoryCatalog catalog(100);
+  ASSERT_TRUE(catalog.AdmitClean("base", Tiny(), 40, 3));
+  catalog.Release("base");
+  EXPECT_EQ(catalog.GetClean("base"), nullptr);
+  EXPECT_EQ(catalog.clean_bytes(), 0);
+  EXPECT_TRUE(catalog.Put("mv", Tiny(), 100));  // all of it is free again
+  ASSERT_TRUE(catalog.AdmitClean("other", Tiny(), 0, 1));
+  catalog.Clear();
+  EXPECT_EQ(catalog.GetClean("other"), nullptr);
+  EXPECT_EQ(catalog.resident_peak_bytes(), 100);  // survives Clear
 }
 
 // ---------------------------------------------------------------------------

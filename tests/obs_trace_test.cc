@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <future>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -190,22 +191,37 @@ struct TracedRun {
   std::vector<TraceEvent> events;
 };
 
-TracedRun RunControllerTraced(const std::string& tag, int lanes) {
-  storage::ThrottledDisk disk(FreshDir(tag), FastDisk());
-  workload::MvWorkload wl = workload::BuildIo1();
-  {
-    runtime::Controller profiler(&disk, runtime::ControllerOptions{});
-    workload::DataGenOptions data_options;
-    data_options.scale = 0.03;
-    profiler.LoadBaseTables(workload::GenerateTpcdsData(data_options));
-    EXPECT_TRUE(profiler.ProfileAndAnnotate(&wl).ok);
-  }
-  const std::int64_t budget = 16LL * 1024 * 1024;
-  const auto optimized = opt::Optimizer{}.Optimize(wl.graph, budget);
+/// Io1 profiled once, with its S/C plan: every traced run below executes
+/// this same plan, whatever its lane count. (Profiling per run would time
+/// the nodes anew, and two timings may well yield two different plans.)
+struct ProfiledWorkload {
+  std::map<std::string, engine::TablePtr> data;
+  workload::MvWorkload wl;
+  opt::Plan plan;
+  std::int64_t budget = 16LL * 1024 * 1024;
+};
 
+ProfiledWorkload ProfileOnce() {
+  ProfiledWorkload profiled;
+  workload::DataGenOptions data_options;
+  data_options.scale = 0.03;
+  profiled.data = workload::GenerateTpcdsData(data_options);
+  profiled.wl = workload::BuildIo1();
+  storage::ThrottledDisk disk(FreshDir("profile_once"), FastDisk());
+  runtime::Controller profiler(&disk, runtime::ControllerOptions{});
+  profiler.LoadBaseTables(profiled.data);
+  EXPECT_TRUE(profiler.ProfileAndAnnotate(&profiled.wl).ok);
+  profiled.plan =
+      opt::Optimizer{}.Optimize(profiled.wl.graph, profiled.budget).plan;
+  return profiled;
+}
+
+TracedRun RunControllerTraced(const std::string& tag, int lanes,
+                              const ProfiledWorkload& profiled) {
+  storage::ThrottledDisk disk(FreshDir(tag), FastDisk());
   TraceRecorder recorder;
   runtime::ControllerOptions options;
-  options.budget = budget;
+  options.budget = profiled.budget;
   options.max_parallel_nodes = lanes;
   // Force every node onto a LanePool lane so lane tracks appear even
   // for the cheap profiled nodes the dispatcher would inline.
@@ -213,8 +229,9 @@ TracedRun RunControllerTraced(const std::string& tag, int lanes) {
   options.trace = &recorder;
   options.trace_job_id = 42;
   runtime::Controller controller(&disk, options);
+  controller.LoadBaseTables(profiled.data);
   TracedRun run;
-  run.report = controller.Run(wl, optimized.plan);
+  run.report = controller.Run(profiled.wl, profiled.plan);
   run.events = recorder.Events();
   return run;
 }
@@ -261,8 +278,9 @@ TEST(TraceAnalysisTest, NestedSpansCountOnceTowardTrackBusyTime) {
 }
 
 TEST(ControllerTraceTest, SpanOrderingMatchesPublishOrderAcrossLanes) {
-  const TracedRun one = RunControllerTraced("lanes1", 1);
-  const TracedRun four = RunControllerTraced("lanes4", 4);
+  const ProfiledWorkload profiled = ProfileOnce();
+  const TracedRun one = RunControllerTraced("lanes1", 1, profiled);
+  const TracedRun four = RunControllerTraced("lanes4", 4, profiled);
   ASSERT_TRUE(one.report.ok) << one.report.error;
   ASSERT_TRUE(four.report.ok) << four.report.error;
   EXPECT_GT(four.report.parallel_lanes, 1);

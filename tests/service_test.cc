@@ -156,6 +156,10 @@ TEST(RefreshServiceTest, CatalogStatsFlowIntoMetrics) {
   EXPECT_GT(it->second.catalog_hit_rate(), 0.0);
   EXPECT_FALSE(service.metrics().ToJson().empty());
   EXPECT_FALSE(service.metrics().FormatTable().empty());
+  // Base-table scans the clean tier served are exported as a counter.
+  EXPECT_GT(result.report.base_input_hits, 0);
+  EXPECT_NE(service.PrometheusText().find("sc_base_input_hits_total"),
+            std::string::npos);
 }
 
 TEST(RefreshServiceTest, TenantQuotaCapsGrant) {
@@ -351,6 +355,8 @@ TEST(RefreshServiceTest, UnusedBudgetIsReturnedMidRun) {
   EXPECT_LT(result.report.budget,
             result.granted_budget);  // ran on the shrunk grant
   EXPECT_LE(result.report.peak_memory, result.report.budget);
+  // Resident base tables live inside the shrunk grant too.
+  EXPECT_LE(result.report.resident_peak_bytes, result.report.budget);
   const MetricsSnapshot snapshot = service.metrics().Snapshot();
   EXPECT_GT(snapshot.aggregate.bytes_returned, 0);
   EXPECT_EQ(service.broker().reserved_bytes(), 0);

@@ -522,6 +522,8 @@ TEST(StageRuntimeTest, ParallelFlaggedRunStaysWithinTightBudget) {
   const RunReport report = controller.Run(wl, plan);
   ASSERT_TRUE(report.ok) << report.error;
   EXPECT_LE(report.peak_memory, budget);
+  // Base tables kept between their scans share the same bound.
+  EXPECT_LE(report.resident_peak_bytes, budget);
 }
 
 // ---------------------------------------------------------------------------
