@@ -1,11 +1,15 @@
 // Multi-tenant serving: run many refresh jobs from several tenants
 // through the RefreshService, which arbitrates one shared Memory-Catalog
-// budget, caches plans, and reports per-tenant metrics.
+// budget, caches plans, and reports per-tenant metrics through its
+// Prometheus registry. Exits 1 unless every job succeeds and the
+// registry counts all of them.
 //
 //   $ ./examples/multi_tenant_service
 #include <filesystem>
 #include <iostream>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "api/sc.h"
@@ -44,9 +48,10 @@ int main() {
   service::RefreshService service(&disk, options);
   service.SetTenantQuota("batch", options.global_budget / 4);
 
-  std::cout << "submitting 12 refresh jobs from 3 tenants...\n";
+  constexpr int kJobs = 12;
+  std::cout << "submitting " << kJobs << " refresh jobs from 3 tenants...\n";
   std::vector<std::future<service::JobResult>> futures;
-  for (int i = 0; i < 12; ++i) {
+  for (int i = 0; i < kJobs; ++i) {
     service::RefreshJobSpec spec;
     spec.workload = wl;
     spec.tenant = i % 3 == 0 ? "batch" : i % 3 == 1 ? "bi" : "dashboards";
@@ -55,8 +60,10 @@ int main() {
     futures.push_back(service.Submit(std::move(spec)));
   }
 
+  int ok_jobs = 0;
   for (auto& future : futures) {
     const service::JobResult r = future.get();
+    if (r.status == service::JobStatus::kOk) ++ok_jobs;
     std::cout << StrFormat(
         "job %2llu  tenant=%-10s ok=%d granted=%-8s wait=%.3fs exec=%.3fs "
         "catalog-hit=%.0f%% %s%s\n",
@@ -68,9 +75,32 @@ int main() {
         r.reoptimized ? "[re-optimized]" : "");
   }
 
-  std::cout << "\nper-tenant metrics:\n" << service.metrics().FormatTable();
+  // Per-tenant series from the Prometheus exposition (histogram buckets
+  // left out for brevity; their _sum/_count lines stay).
+  std::cout << "\nper-tenant metrics:\n";
+  std::istringstream text(service.PrometheusText());
+  for (std::string line; std::getline(text, line);) {
+    if (line.find("tenant=\"") != std::string::npos &&
+        line.find("_bucket{") == std::string::npos) {
+      std::cout << "  " << line << "\n";
+    }
+  }
   std::cout << "\npeak concurrent Memory-Catalog reservation: "
             << FormatBytes(service.broker().peak_reserved_bytes()) << " / "
             << FormatBytes(options.global_budget) << " global budget\n";
+
+  double counted_ok = 0.0;
+  for (const auto& [series, value] : service.registry().Snapshot()) {
+    if (series.rfind("sc_jobs_total{", 0) == 0 &&
+        series.find("status=\"ok\"") != std::string::npos) {
+      counted_ok += value;
+    }
+  }
+  if (ok_jobs != kJobs || counted_ok != kJobs) {
+    std::cerr << "FAIL: " << ok_jobs << " ok job(s), sc_jobs_total counts "
+              << counted_ok << " ok, expected " << kJobs << "\n";
+    return 1;
+  }
+  std::cout << "all " << kJobs << " jobs ok, and sc_jobs_total agrees\n";
   return 0;
 }

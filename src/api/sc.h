@@ -48,7 +48,6 @@
 #include "runtime/lane_pool.h"
 #include "runtime/stage_scheduler.h"
 #include "service/budget_broker.h"
-#include "service/metrics.h"
 #include "service/parallelism_broker.h"
 #include "service/plan_cache.h"
 #include "service/service.h"

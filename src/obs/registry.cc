@@ -63,7 +63,21 @@ std::string Registry::RenderLabels(const Labels& labels) {
   std::string out = "{";
   for (std::size_t i = 0; i < sorted.size(); ++i) {
     if (i > 0) out += ",";
-    out += sorted[i].first + "=\"" + sorted[i].second + "\"";
+    out += sorted[i].first + "=\"";
+    // Exposition-format escaping: a tenant name can carry any byte, and
+    // a raw quote or newline would break the series line.
+    for (const char c : sorted[i].second) {
+      if (c == '\\') {
+        out += "\\\\";
+      } else if (c == '"') {
+        out += "\\\"";
+      } else if (c == '\n') {
+        out += "\\n";
+      } else {
+        out += c;
+      }
+    }
+    out += "\"";
   }
   out += "}";
   return out;

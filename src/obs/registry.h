@@ -89,7 +89,9 @@ class Histogram {
   std::atomic<std::int64_t> sum_micros_{0};  // sum in 1e-6 units
 };
 
-/// Prometheus-style label set, rendered as {k="v",...} sorted by key.
+/// Prometheus-style label set, rendered as {k="v",...} sorted by key,
+/// with `\`, `"` and newline in values escaped as the exposition format
+/// requires (snapshot keys use the same rendering).
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
 /// Unified metrics registry (ROADMAP observability layer): one namespace

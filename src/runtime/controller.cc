@@ -604,8 +604,8 @@ NodeResult ExecuteNode(RunState& s, graph::NodeId v,
 /// residency bookkeeping marks nodes whose last consumer finished as
 /// releasable. Must be called once per node, strictly in plan order —
 /// that invariant is what keeps the catalog's budget behaviour identical
-/// across lane counts. Throws on budget violation or a synchronous /
-/// awaited materialization failure.
+/// across lane counts. Throws on budget violation or an awaited
+/// materialization failure.
 void PublishNode(RunState& s, graph::NodeId v, NodeResult result,
                  RunReport* report) {
   const graph::Graph& g = s.wl.graph;
@@ -653,14 +653,9 @@ void PublishNode(RunState& s, graph::NodeId v, NodeResult result,
       // The producing job's materialization already reached disk.
       // (Reused content not yet durable falls through to the normal
       // write paths: this run's durability stays self-contained.)
-    } else if (s.options.background_materialize) {
+    } else {
       s.in_flight.emplace(name,
                           s.materializer.Enqueue(name, result.output));
-    } else {
-      const double w0 = MonotonicSeconds();
-      s.disk->WriteTable(name, *result.output);
-      stats.write_seconds = MonotonicSeconds() - w0;
-      s.catalog.MarkSharedDurable(name);
     }
   } else if (!stats.reused_cross_job) {
     // Unflagged outputs are computed anyway: publish them into the
@@ -887,8 +882,8 @@ void RunStageParallel(RunState& s, int lanes, LanePool* pool,
     dispatch();
     // The coordinator replays the publish sequence in plan order; all
     // dispatching meanwhile happens from lane completions. PublishNode
-    // can block on disk (lazy release awaits in-flight materializations;
-    // synchronous materialization writes inline), so it runs unlocked:
+    // can block on disk (lazy release awaits in-flight
+    // materializations), so it runs unlocked:
     // it touches only coordinator-owned state (releasable / in_flight /
     // pending_children / report) and thread-safe stores.
     while (error.empty() && next_publish < seq.size()) {

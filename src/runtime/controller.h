@@ -106,9 +106,6 @@ class Materializer {
 struct ControllerOptions {
   /// Memory Catalog size in bytes.
   std::int64_t budget = 64LL * 1024 * 1024;
-  /// If false, flagged outputs are written synchronously after creation
-  /// (ablation; true reproduces S/C).
-  bool background_materialize = true;
   /// Maximum number of DAG nodes of one run executing concurrently
   /// (intra-job lanes). 1 — the default — is the paper's sequential
   /// Controller and is guaranteed to produce the same node stats, catalog

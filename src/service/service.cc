@@ -19,6 +19,17 @@ namespace sc::service {
 /// output sizes overshooting the optimizer's estimates.
 constexpr double kBudgetReturnSlack = 1.25;
 
+const char* JobStatusName(JobStatus status) {
+  switch (status) {
+    case JobStatus::kOk: return "ok";
+    case JobStatus::kFailed: return "failed";
+    case JobStatus::kCancelled: return "cancelled";
+    case JobStatus::kTimeout: return "timeout";
+    case JobStatus::kShed: return "shed";
+  }
+  return "failed";
+}
+
 RefreshService::RefreshService(storage::ThrottledDisk* disk,
                                ServiceOptions options)
     : disk_(disk),
@@ -198,7 +209,7 @@ void RefreshService::RegisterComponentMirrors() {
        [this] { return static_cast<double>(queue_depth()); }},
       {"sc_starvation_seconds", kGauge,
        "Longest wait among jobs queued right now",
-       [this] { return metrics_.StarvationSeconds(); }},
+       [this] { return StarvationSeconds(); }},
   };
   for (const Mirror& m : mirrors) {
     if (m.counter) {
@@ -240,7 +251,6 @@ RefreshService::JobHandle RefreshService::SubmitJob(RefreshJobSpec spec) {
     }
     job->id = next_job_id_++;
     handle.job_id = job->id;
-    metrics_.JobQueued(job->id, job->spec.priority, job->submit_seconds);
     active_jobs_[job->id] = job;
     queue_.push(std::move(job));
   }
@@ -312,6 +322,18 @@ std::size_t RefreshService::queue_depth() const {
   return queue_.size();
 }
 
+double RefreshService::StarvationSeconds() const {
+  const double now = MonotonicSeconds();
+  std::lock_guard<std::mutex> lock(mutex_);
+  double worst = 0.0;
+  for (const auto& [id, job] : active_jobs_) {
+    if (job->admit_seconds == 0.0) {
+      worst = std::max(worst, now - job->submit_seconds);
+    }
+  }
+  return worst;
+}
+
 void RefreshService::FailJob(Job& job, const std::string& error,
                              JobStatus status) {
   JobResult result;
@@ -335,20 +357,7 @@ void RefreshService::FailJob(Job& job, const std::string& error,
   } else {
     result.queue_wait_seconds = now - job.submit_seconds;
   }
-  metrics_.JobDequeued(job.id);
-  JobObservation observation;
-  observation.tenant = result.tenant;
-  observation.priority = job.spec.priority;
-  observation.ok = false;
-  observation.status = status;
-  observation.queue_wait_seconds = result.queue_wait_seconds;
-  observation.exec_seconds = result.exec_seconds;
-  metrics_.Record(observation);
-  registry_
-      .GetCounter("sc_jobs_total", "Finished refresh jobs",
-                  {{"tenant", result.tenant},
-                   {"status", JobStatusName(status)}})
-      ->Increment();
+  RecordJob(job, result);
   ForgetJob(job.id);
   job.promise.set_value(std::move(result));
 }
@@ -447,7 +456,12 @@ JobResult RefreshService::Execute(Job& job) {
                                       job.spec.priority, &job.cancel);
   // Queue wait covers both the admission queue and budget arbitration:
   // the job is "waiting" until it holds everything it needs to run.
-  job.admit_seconds = MonotonicSeconds();
+  // Written under mutex_: the starvation gauge reads it from the
+  // scraping thread.
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    job.admit_seconds = MonotonicSeconds();
+  }
   if (tracing) {
     trace_->Complete("job", "wait-budget", picked_up_seconds,
                      job.admit_seconds - picked_up_seconds, job_args);
@@ -456,7 +470,6 @@ JobResult RefreshService::Execute(Job& job) {
         job_args + StrFormat(",\"bytes\":%lld",
                              static_cast<long long>(grant.bytes)));
   }
-  metrics_.JobDequeued(job.id);
   result.queue_wait_seconds = job.admit_seconds - job.submit_seconds;
   result.granted_budget = grant.bytes;
   const double exec_start = job.admit_seconds;
@@ -729,17 +742,23 @@ JobResult RefreshService::FinishJob(Job& job, JobResult result,
                  : JobStatus::kCancelled)
           : JobStatus::kFailed;
 
+  RecordJob(job, result);
+  return result;
+}
+
+void RefreshService::RecordJob(const Job& job, const JobResult& result) {
+  const obs::Labels tenant = {{"tenant", result.tenant}};
+  auto count = [&](const char* name, const char* help, std::int64_t n) {
+    registry_.GetCounter(name, help, tenant)->Increment(n);
+  };
   registry_
       .GetCounter("sc_jobs_total", "Finished refresh jobs",
                   {{"tenant", result.tenant},
                    {"status", JobStatusName(result.status)}})
       ->Increment();
   if (result.report.node_retries > 0) {
-    registry_
-        .GetCounter("sc_job_retries_total",
-                    "Per-node retries of transient failures",
-                    {{"tenant", result.tenant}})
-        ->Increment(result.report.node_retries);
+    count("sc_job_retries_total", "Per-node retries of transient failures",
+          result.report.node_retries);
   }
   registry_
       .GetCounter("sc_base_input_hits_total",
@@ -748,31 +767,44 @@ JobResult RefreshService::FinishJob(Job& job, JobResult result,
       ->Increment(result.report.base_input_hits);
   registry_
       .GetHistogram("sc_job_queue_wait_seconds",
-                    "Admission-queue + budget-arbitration wait per job")
+                    "Admission-queue + budget-arbitration wait per job",
+                    {{"tenant", result.tenant},
+                     {"priority", std::to_string(job.spec.priority)}})
       ->Observe(result.queue_wait_seconds);
   registry_
       .GetHistogram("sc_job_exec_seconds",
-                    "Execution wall time per job (admission to finish)")
+                    "Execution wall time per job (admission to finish)",
+                    tenant)
       ->Observe(result.exec_seconds);
-
-  JobObservation observation;
-  observation.tenant = result.tenant;
-  observation.priority = job.spec.priority;
-  observation.ok = result.report.ok;
-  observation.status = result.status;
-  observation.queue_wait_seconds = result.queue_wait_seconds;
-  observation.exec_seconds = result.exec_seconds;
-  observation.requested_bytes = result.requested_budget;
-  observation.granted_bytes = result.granted_budget;
-  observation.returned_bytes = result.returned_budget;
-  observation.catalog_hits = result.report.catalog_hits;
-  observation.catalog_misses = result.report.catalog_misses;
-  observation.cross_job_hits = result.report.cross_job_hits;
-  observation.cross_job_bytes_saved = result.report.cross_job_bytes_saved;
-  observation.plan_cache_hit = result.plan_cache_hit;
-  observation.reoptimized = result.reoptimized;
-  metrics_.Record(observation);
-  return result;
+  registry_
+      .GetHistogram("sc_job_latency_seconds",
+                    "Submit-to-finish time per job (queue wait + execution)",
+                    tenant)
+      ->Observe(result.queue_wait_seconds + result.exec_seconds);
+  count("sc_budget_requested_bytes_total",
+        "Memory-catalog bytes jobs asked the broker for",
+        result.requested_budget);
+  count("sc_budget_granted_bytes_total",
+        "Memory-catalog bytes the broker granted", result.granted_budget);
+  count("sc_budget_returned_bytes_total",
+        "Granted bytes handed back mid-run (grant renegotiation)",
+        result.returned_budget);
+  count("sc_catalog_hits_total", "Node inputs served from the Memory Catalog",
+        result.report.catalog_hits);
+  count("sc_catalog_misses_total", "Node inputs read from external storage",
+        result.report.catalog_misses);
+  count("sc_cross_job_hits_total",
+        "Catalog hits served from another job's shared outputs",
+        result.report.cross_job_hits);
+  count("sc_cross_job_bytes_saved_total",
+        "Disk or recompute bytes cross-job hits saved",
+        result.report.cross_job_bytes_saved);
+  count("sc_jobs_plan_cached_total",
+        "Jobs whose plan came from the cache without optimizing",
+        result.plan_cache_hit ? 1 : 0);
+  count("sc_jobs_reoptimized_total",
+        "Jobs re-optimized for a partial grant or shared residency",
+        result.reoptimized ? 1 : 0);
 }
 
 }  // namespace sc::service

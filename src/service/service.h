@@ -20,7 +20,6 @@
 #include "runtime/controller.h"
 #include "runtime/lane_pool.h"
 #include "service/budget_broker.h"
-#include "service/metrics.h"
 #include "service/parallelism_broker.h"
 #include "service/plan_cache.h"
 #include "storage/shared_catalog.h"
@@ -28,6 +27,23 @@
 #include "workload/workloads.h"
 
 namespace sc::service {
+
+/// Terminal disposition of one job. Replaces string matching on
+/// report.error as the programmatic failure taxonomy: `kFailed` is a
+/// genuine execution error, while the last three are service decisions
+/// (caller cancel, deadline expiry, queue-wait shedding) that callers
+/// routinely branch on.
+enum class JobStatus {
+  kOk = 0,
+  kFailed = 1,
+  kCancelled = 2,  // RefreshService::Cancel or token cancel
+  kTimeout = 3,    // RefreshJobSpec::deadline_seconds expired
+  kShed = 4,       // RefreshJobSpec::max_queue_wait_seconds expired queued
+};
+
+/// Stable lowercase label ("ok", "failed", "cancelled", "timeout",
+/// "shed") used as the `status` label of sc_jobs_total.
+const char* JobStatusName(JobStatus status);
 
 struct ServiceOptions {
   /// Total execution-thread budget of the service. With
@@ -237,7 +253,6 @@ class RefreshService {
 
   void SetTenantQuota(const std::string& tenant, std::int64_t quota_bytes);
 
-  const ServiceMetrics& metrics() const { return metrics_; }
   const BudgetBroker& broker() const { return broker_; }
   const ParallelismBroker& lanes_broker() const { return lanes_broker_; }
   /// The service-wide executor pool every job's parallel run borrows its
@@ -254,11 +269,11 @@ class RefreshService {
   }
   std::size_t queue_depth() const;
   const ServiceOptions& options() const { return options_; }
-  /// Unified metrics registry (tentpole of the observability layer):
-  /// job counters and latency histograms recorded by the service, plus
-  /// callback counters and gauges mirroring the LanePool, SharedCatalog,
-  /// BudgetBroker, and PlanCache values. See README "Observability" for
-  /// the full metric-name table.
+  /// The service's one metrics system: per-tenant job counters and
+  /// latency histograms recorded by the service, plus callback counters
+  /// and gauges mirroring the LanePool, SharedCatalog, BudgetBroker, and
+  /// PlanCache values. See README "Observability" for the full
+  /// metric-name table.
   const obs::Registry& registry() const { return registry_; }
   obs::Registry& registry() { return registry_; }
   /// Prometheus text exposition of registry().
@@ -275,8 +290,10 @@ class RefreshService {
     RefreshJobSpec spec;
     std::promise<JobResult> promise;
     double submit_seconds = 0.0;
-    /// Set once the budget grant is held; lets FailJob split queue wait
-    /// from execution time for jobs that die mid-run.
+    /// Set (under mutex_) once the budget grant is held; 0 while the job
+    /// is still queued, which is what the starvation gauge reads. Also
+    /// lets FailJob split queue wait from execution time for jobs that
+    /// die mid-run.
     double admit_seconds = 0.0;
     std::uint64_t fingerprint = 0;
     /// Cooperative cancellation flag shared by Cancel(), the deadline,
@@ -298,15 +315,19 @@ class RefreshService {
   JobResult Execute(Job& job);
   /// Common terminal bookkeeping for Execute paths: derives
   /// JobResult::status from the report, emits the trace tail, and
-  /// records registry counters plus the metrics observation.
+  /// records the job in the registry.
   /// `held_grant` gates the budget-release trace instant (false on the
   /// cancelled-while-waiting path, where no grant was ever held).
   JobResult FinishJob(Job& job, JobResult result, double exec_start,
                       const std::string& trace_args, bool held_grant);
   /// Resolves `job`'s promise with a failed report and records the
-  /// failure in the metrics registry.
+  /// failure in the registry.
   void FailJob(Job& job, const std::string& error,
                JobStatus status = JobStatus::kFailed);
+  /// Writes one finished job's per-tenant series into registry_.
+  void RecordJob(const Job& job, const JobResult& result);
+  /// Longest wait among submitted jobs not yet admitted; 0 when none.
+  double StarvationSeconds() const;
   /// Drops `job.id` from the cancellation registry (terminal states
   /// only).
   void ForgetJob(std::uint64_t job_id);
@@ -323,7 +344,6 @@ class RefreshService {
   runtime::LanePool lane_pool_;
   PlanCache plan_cache_;
   storage::SharedCatalog shared_catalog_;
-  ServiceMetrics metrics_;
   /// Owned recorder behind ServiceOptions::trace_path (null when the
   /// caller supplied one or tracing is off).
   std::unique_ptr<obs::TraceRecorder> owned_trace_;
@@ -343,7 +363,8 @@ class RefreshService {
   bool stopping_ = false;
   std::uint64_t next_job_id_ = 1;
   /// Cancellation registry: every job from Submit until its promise is
-  /// resolved. Cancel() flips the token here and pokes the broker.
+  /// resolved. Cancel() flips the token here and pokes the broker; the
+  /// starvation gauge scans it for jobs not yet admitted.
   std::map<std::uint64_t, std::shared_ptr<Job>> active_jobs_;
   std::vector<std::thread> workers_;
 };

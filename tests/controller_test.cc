@@ -275,23 +275,6 @@ TEST(ControllerTest, BaseTableStaysResidentAcrossItsScans) {
   }
 }
 
-TEST(ControllerTest, SynchronousMaterializationModeWorks) {
-  storage::ThrottledDisk disk(FreshDir("sync"), FastDisk());
-  workload::MvWorkload wl = TinyWorkload();
-  Controller profiler(&disk, ControllerOptions{});
-  profiler.LoadBaseTables(TinyData());
-  ASSERT_TRUE(profiler.ProfileAndAnnotate(&wl).ok);
-  const std::int64_t budget = 16LL * 1024 * 1024;
-  const auto result = opt::Optimizer{}.Optimize(wl.graph, budget);
-  ControllerOptions options;
-  options.budget = budget;
-  options.background_materialize = false;
-  Controller controller(&disk, options);
-  const RunReport report = controller.Run(wl, result.plan);
-  EXPECT_TRUE(report.ok) << report.error;
-}
-
-
 TEST(ControllerTest, BackgroundMaterializationFailureIsReported) {
   const auto data = TinyData();
   workload::MvWorkload wl = TinyWorkload();

@@ -12,11 +12,14 @@
 #include "runtime/cancel.h"
 #include "runtime/controller.h"
 #include "service/service.h"
+#include "test_util.h"
 #include "workload/datagen.h"
 #include "workload/workloads.h"
 
 namespace sc::service {
 namespace {
+
+using test::SumSeries;
 
 storage::DiskProfile FastDisk() {
   storage::DiskProfile profile;
@@ -157,9 +160,11 @@ TEST(FaultInjectionTest, ChaosEverySiteInvariantsHold) {
   }
 
   // The disposition taxonomy reached the metrics layer.
-  const MetricsSnapshot snapshot = service.metrics().Snapshot();
-  EXPECT_EQ(snapshot.aggregate.jobs_completed, ok);
-  EXPECT_EQ(snapshot.aggregate.jobs_failed, failed);
+  const auto snapshot = service.registry().Snapshot();
+  const double jobs_ok =
+      SumSeries(snapshot, "sc_jobs_total", "status=\"ok\"");
+  EXPECT_EQ(jobs_ok, ok);
+  EXPECT_EQ(SumSeries(snapshot, "sc_jobs_total") - jobs_ok, failed);
 }
 
 // ---------------------------------------------------------------------------
@@ -200,8 +205,9 @@ TEST(FaultInjectionTest, CancelQueuedJobReleasesEverything) {
   service.Shutdown();
   EXPECT_EQ(service.broker().reserved_bytes(), 0);
   EXPECT_EQ(service.shared_catalog().pinned_bytes(), 0);
-  const MetricsSnapshot snapshot = service.metrics().Snapshot();
-  EXPECT_EQ(snapshot.aggregate.jobs_cancelled, 1);
+  EXPECT_EQ(SumSeries(service.registry().Snapshot(), "sc_jobs_total",
+                      "status=\"cancelled\""),
+            1);
   EXPECT_NE(service.PrometheusText().find("status=\"cancelled\""),
             std::string::npos);
 }
@@ -278,8 +284,9 @@ TEST(FaultInjectionTest, DeadlineExpiredJobTimesOut) {
 
   service.Shutdown();
   EXPECT_EQ(service.broker().reserved_bytes(), 0);
-  const MetricsSnapshot snapshot = service.metrics().Snapshot();
-  EXPECT_EQ(snapshot.aggregate.jobs_timeout, 1);
+  EXPECT_EQ(SumSeries(service.registry().Snapshot(), "sc_jobs_total",
+                      "status=\"timeout\""),
+            1);
   EXPECT_NE(service.PrometheusText().find("status=\"timeout\""),
             std::string::npos);
 }
@@ -304,8 +311,9 @@ TEST(FaultInjectionTest, QueueWaitSheddingDropsStaleJobs) {
                                           // token cancel
 
   service.Shutdown();
-  const MetricsSnapshot snapshot = service.metrics().Snapshot();
-  EXPECT_EQ(snapshot.aggregate.jobs_shed, 1);
+  EXPECT_EQ(SumSeries(service.registry().Snapshot(), "sc_jobs_total",
+                      "status=\"shed\""),
+            1);
   EXPECT_NE(service.PrometheusText().find("status=\"shed\""),
             std::string::npos);
 }

@@ -74,6 +74,10 @@ TEST(Registry, PrometheusGoldenText) {
   registry.GetCounter("sc_jobs_total", "Finished jobs",
                       {{"tenant", "a"}, {"status", "ok"}})
       ->Increment(3);
+  // Label values are escaped: backslash, double quote and newline.
+  registry.GetCounter("sc_jobs_total", "Finished jobs",
+                      {{"tenant", "acme\"prod\\eu\n"}, {"status", "ok"}})
+      ->Increment();
   registry.GetGauge("sc_queue_depth", "Queued jobs")->Set(2);
   Histogram* h = registry.GetHistogram("sc_wait_seconds", "Wait time", {},
                                        {0.5, 1.0});
@@ -95,6 +99,7 @@ TEST(Registry, PrometheusGoldenText) {
       "# HELP sc_jobs_total Finished jobs\n"
       "# TYPE sc_jobs_total counter\n"
       "sc_jobs_total{status=\"ok\",tenant=\"a\"} 3\n"
+      "sc_jobs_total{status=\"ok\",tenant=\"acme\\\"prod\\\\eu\\n\"} 1\n"
       "# HELP sc_live Live value\n"
       "# TYPE sc_live gauge\n"
       "sc_live 7\n"

@@ -16,6 +16,7 @@
 #include "opt/optimizer.h"
 #include "runtime/controller.h"
 #include "service/service.h"
+#include "test_util.h"
 #include "workload/datagen.h"
 #include "workload/workloads.h"
 
@@ -418,14 +419,9 @@ TEST(ServiceTraceTest, FourTenantFourLaneRunReconstructs) {
   // The registry mirrored the run: jobs counted per tenant, component
   // gauges live, and the whole thing renders as Prometheus text.
   const auto snapshot = service.registry().Snapshot();
-  double jobs_ok = 0.0;
-  for (const auto& [key, value] : snapshot) {
-    if (key.rfind("sc_jobs_total", 0) == 0 &&
-        key.find("status=\"ok\"") != std::string::npos) {
-      jobs_ok += value;
-    }
-  }
-  EXPECT_DOUBLE_EQ(jobs_ok, static_cast<double>(kJobs));
+  EXPECT_DOUBLE_EQ(test::SumSeries(snapshot, "sc_jobs_total",
+                                   "status=\"ok\""),
+                   static_cast<double>(kJobs));
   EXPECT_GT(snapshot.at("sc_lane_pool_tasks_completed"), 0.0);
   const std::string text = service.PrometheusText();
   EXPECT_NE(text.find("# TYPE sc_jobs_total counter"), std::string::npos);

@@ -4,15 +4,21 @@
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <sstream>
+#include <thread>
 #include <vector>
 
+#include "fault/fault.h"
 #include "runtime/controller.h"
 #include "service/service.h"
+#include "test_util.h"
 #include "workload/datagen.h"
 #include "workload/workloads.h"
 
 namespace sc::service {
 namespace {
+
+using test::SumSeries;
 
 storage::DiskProfile FastDisk() {
   storage::DiskProfile profile;
@@ -81,13 +87,17 @@ TEST(RefreshServiceTest, StressConcurrentTenantsNeverExceedGlobalBudget) {
   service.Shutdown();
   EXPECT_EQ(service.broker().reserved_bytes(), 0);
 
-  const MetricsSnapshot snapshot = service.metrics().Snapshot();
-  EXPECT_EQ(snapshot.aggregate.jobs_completed, kJobs);
-  EXPECT_EQ(snapshot.aggregate.jobs_failed, 0);
-  EXPECT_EQ(snapshot.per_tenant.size(), 3u);
-  EXPECT_GT(snapshot.aggregate.p99_latency_seconds, 0.0);
-  EXPECT_GE(snapshot.aggregate.p99_latency_seconds,
-            snapshot.aggregate.p50_latency_seconds);
+  const auto snapshot = service.registry().Snapshot();
+  EXPECT_EQ(SumSeries(snapshot, "sc_jobs_total", "status=\"ok\""), kJobs);
+  EXPECT_EQ(SumSeries(snapshot, "sc_jobs_total"), kJobs);  // none failed
+  for (int t = 0; t < 3; ++t) {
+    const std::string tenant = "tenant=\"tenant" + std::to_string(t) + "\"";
+    EXPECT_EQ(SumSeries(snapshot, "sc_jobs_total", tenant), kJobs / 3)
+        << tenant;
+  }
+  // Every job's submit-to-finish latency landed in the histogram.
+  EXPECT_EQ(SumSeries(snapshot, "sc_job_latency_seconds_count"), kJobs);
+  EXPECT_GT(SumSeries(snapshot, "sc_job_latency_seconds_sum"), 0.0);
 }
 
 TEST(RefreshServiceTest, RepeatRefreshHitsPlanCache) {
@@ -150,12 +160,13 @@ TEST(RefreshServiceTest, CatalogStatsFlowIntoMetrics) {
   EXPECT_GT(result.report.catalog_hits, 0);
   EXPECT_GT(result.report.CatalogHitRate(), 0.0);
 
-  const MetricsSnapshot snapshot = service.metrics().Snapshot();
-  const auto it = snapshot.per_tenant.find("stats");
-  ASSERT_NE(it, snapshot.per_tenant.end());
-  EXPECT_GT(it->second.catalog_hit_rate(), 0.0);
-  EXPECT_FALSE(service.metrics().ToJson().empty());
-  EXPECT_FALSE(service.metrics().FormatTable().empty());
+  const auto snapshot = service.registry().Snapshot();
+  EXPECT_GT(SumSeries(snapshot, "sc_catalog_hits_total",
+                      "tenant=\"stats\""),
+            0.0);
+  EXPECT_NE(service.PrometheusText().find(
+                "sc_catalog_hits_total{tenant=\"stats\"}"),
+            std::string::npos);
   // Base-table scans the clean tier served are exported as a counter.
   EXPECT_GT(result.report.base_input_hits, 0);
   EXPECT_NE(service.PrometheusText().find("sc_base_input_hits_total"),
@@ -195,8 +206,9 @@ TEST(RefreshServiceTest, ExecutionFailureIsReportedNotThrown) {
   const JobResult result = service.Submit(spec).get();
   EXPECT_FALSE(result.report.ok);
   EXPECT_FALSE(result.report.error.empty());
-  const MetricsSnapshot snapshot = service.metrics().Snapshot();
-  EXPECT_EQ(snapshot.aggregate.jobs_failed, 1);
+  const auto snapshot = service.registry().Snapshot();
+  EXPECT_EQ(SumSeries(snapshot, "sc_jobs_total", "status=\"failed\""), 1);
+  EXPECT_EQ(SumSeries(snapshot, "sc_jobs_total"), 1);
   // The failure released its budget: the broker is clean.
   EXPECT_EQ(service.broker().reserved_bytes(), 0);
 }
@@ -240,8 +252,8 @@ TEST(RefreshServiceTest, NonDrainingShutdownFailsPendingJobs) {
   EXPECT_EQ(completed + rejected, 6);
 }
 
-TEST(RefreshServiceTest, MetricsJsonEscapesTenantNames) {
-  storage::ThrottledDisk disk(FreshDir("jsonesc"), FastDisk());
+TEST(RefreshServiceTest, PrometheusTextEscapesTenantNames) {
+  storage::ThrottledDisk disk(FreshDir("promesc"), FastDisk());
   // Jobs fail (no base tables), which must still be counted per tenant.
   auto wl = std::make_shared<workload::MvWorkload>(workload::BuildIo1());
   ServiceOptions options;
@@ -249,13 +261,23 @@ TEST(RefreshServiceTest, MetricsJsonEscapesTenantNames) {
   RefreshService service(&disk, options);
   RefreshJobSpec spec;
   spec.workload = wl;
-  spec.tenant = "acme\"prod\\eu";
+  spec.tenant = "acme\"prod\\eu\n";
   const JobResult result = service.Submit(std::move(spec)).get();
   EXPECT_FALSE(result.report.ok);
-  const std::string json = service.metrics().ToJson();
-  EXPECT_NE(json.find("acme\\\"prod\\\\eu"), std::string::npos) << json;
-  const MetricsSnapshot snapshot = service.metrics().Snapshot();
-  EXPECT_EQ(snapshot.aggregate.jobs_failed, 1);
+  const std::string text = service.PrometheusText();
+  EXPECT_NE(text.find("sc_jobs_total{status=\"failed\","
+                      "tenant=\"acme\\\"prod\\\\eu\\n\"} 1\n"),
+            std::string::npos)
+      << text;
+  // The raw newline never splits a series: every line is a comment or
+  // starts with a metric name.
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_TRUE(line.rfind("# ", 0) == 0 || line.rfind("sc_", 0) == 0)
+        << line;
+  }
+  const auto snapshot = service.registry().Snapshot();
+  EXPECT_EQ(SumSeries(snapshot, "sc_jobs_total", "status=\"failed\""), 1);
 }
 
 TEST(RefreshServiceTest, NullWorkloadRejected) {
@@ -357,8 +379,9 @@ TEST(RefreshServiceTest, UnusedBudgetIsReturnedMidRun) {
   EXPECT_LE(result.report.peak_memory, result.report.budget);
   // Resident base tables live inside the shrunk grant too.
   EXPECT_LE(result.report.resident_peak_bytes, result.report.budget);
-  const MetricsSnapshot snapshot = service.metrics().Snapshot();
-  EXPECT_GT(snapshot.aggregate.bytes_returned, 0);
+  EXPECT_GT(SumSeries(service.registry().Snapshot(),
+                      "sc_budget_returned_bytes_total"),
+            0.0);
   EXPECT_EQ(service.broker().reserved_bytes(), 0);
 }
 
@@ -423,13 +446,13 @@ TEST(RefreshServiceTest, CrossJobSharingCutsRecomputeAcrossTenants) {
     EXPECT_LE(service.shared_catalog().used_bytes(),
               service.shared_catalog().budget_bytes());
 
-    // The gauges flow into the metrics registry.
-    const MetricsSnapshot snapshot = service.metrics().Snapshot();
-    EXPECT_GT(snapshot.aggregate.cross_job_hits, 0);
-    EXPECT_GT(snapshot.aggregate.cross_job_bytes_saved, 0);
-    EXPECT_GT(snapshot.aggregate.cross_job_hit_rate(), 0.0);
-    const std::string json = service.metrics().ToJson();
-    EXPECT_NE(json.find("\"cross_job_hit_rate\""), std::string::npos);
+    // The per-tenant counters flow into the metrics registry.
+    const auto snapshot = service.registry().Snapshot();
+    EXPECT_GT(SumSeries(snapshot, "sc_cross_job_hits_total"), 0.0);
+    EXPECT_GT(SumSeries(snapshot, "sc_cross_job_bytes_saved_total"), 0.0);
+    EXPECT_NE(service.PrometheusText().find(
+                  "# TYPE sc_cross_job_hits_total counter"),
+              std::string::npos);
 
     service.Shutdown();
     // Every run dropped its pins: nothing stays charged to any tenant.
@@ -460,47 +483,76 @@ TEST(RefreshServiceTest, CrossJobSharingCutsRecomputeAcrossTenants) {
             TotalComputeSeconds(private_results));
 }
 
-TEST(ServiceMetricsTest, PerPriorityWaitsAndStarvationGauge) {
-  ServiceMetrics metrics;
-  const double now =
-      std::chrono::duration<double>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count();
-  metrics.JobQueued(1, /*priority=*/0, now - 5.0);
-  metrics.JobQueued(2, /*priority=*/3, now - 1.0);
-  EXPECT_GE(metrics.StarvationSeconds(), 5.0);
+TEST(RefreshServiceTest, QueueWaitHistogramIsLabelledByPriority) {
+  storage::ThrottledDisk disk(FreshDir("priority"), FastDisk());
+  auto wl = AnnotatedWorkload(&disk);
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.global_budget = 16LL * 1024 * 1024;
+  RefreshService service(&disk, options);
+  std::vector<std::future<JobResult>> futures;
+  for (int i = 0; i < 5; ++i) {
+    RefreshJobSpec spec;
+    spec.workload = wl;
+    spec.tenant = "prio";
+    spec.priority = i < 2 ? 0 : 3;
+    futures.push_back(service.Submit(std::move(spec)));
+  }
+  for (auto& future : futures) EXPECT_TRUE(future.get().report.ok);
+  const auto snapshot = service.registry().Snapshot();
+  EXPECT_EQ(SumSeries(snapshot, "sc_job_queue_wait_seconds_count",
+                      "priority=\"0\""),
+            2);
+  EXPECT_EQ(SumSeries(snapshot, "sc_job_queue_wait_seconds_count",
+                      "priority=\"3\""),
+            3);
+  EXPECT_EQ(SumSeries(snapshot, "sc_job_queue_wait_seconds_count",
+                      "tenant=\"prio\""),
+            5);
+}
 
-  JobObservation slow;
-  slow.tenant = "t";
-  slow.priority = 0;
-  slow.ok = true;
-  slow.queue_wait_seconds = 5.0;
-  metrics.Record(slow);
-  metrics.JobDequeued(1);
-  EXPECT_LT(metrics.StarvationSeconds(), 5.0);
+TEST(RefreshServiceTest, StarvationGaugeReadsJobQueuedBehindStall) {
+  storage::ThrottledDisk disk(FreshDir("stall"), FastDisk());
+  auto wl = AnnotatedWorkload(&disk);
 
-  JobObservation fast;
-  fast.tenant = "t";
-  fast.priority = 3;
-  fast.ok = true;
-  fast.queue_wait_seconds = 0.5;
-  metrics.Record(fast);
-  metrics.JobDequeued(2);
-  EXPECT_EQ(metrics.StarvationSeconds(), 0.0);
+  // The first node execution hits a transient fault whose 10 s retry
+  // backoff parks the only worker, so a second job stays queued.
+  fault::FaultInjector faults(/*seed=*/7);
+  faults.AddRule(
+      {fault::Site::kNodeExecute, "", 0.0, /*nth_hit=*/1, 1, true});
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.fault_injector = &faults;
+  options.retry_limit = 1;
+  options.retry_backoff_ms = 10000.0;
+  RefreshService service(&disk, options);
+  auto starvation = [&service] {
+    return service.registry().Snapshot().at("sc_starvation_seconds");
+  };
 
-  const MetricsSnapshot snapshot = metrics.Snapshot();
-  ASSERT_EQ(snapshot.per_priority.size(), 2u);
-  EXPECT_EQ(snapshot.per_priority.at(0).jobs, 1);
-  EXPECT_DOUBLE_EQ(snapshot.per_priority.at(0).max_wait_seconds, 5.0);
-  EXPECT_DOUBLE_EQ(snapshot.per_priority.at(3).mean_wait_seconds(), 0.5);
-  EXPECT_EQ(snapshot.queued_jobs, 0u);
+  RefreshJobSpec stalled;
+  stalled.workload = wl;
+  RefreshService::JobHandle first = service.SubmitJob(std::move(stalled));
+  while (faults.total_fires() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // The stalled job is admitted, so only the queued one counts.
+  RefreshJobSpec queued;
+  queued.workload = wl;
+  RefreshService::JobHandle second = service.SubmitJob(std::move(queued));
+  const auto submitted = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const double slept = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - submitted)
+                           .count();
+  EXPECT_GE(starvation(), slept);
 
-  const std::string json = metrics.ToJson();
-  EXPECT_NE(json.find("\"per_priority\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"starvation_seconds\""), std::string::npos);
-  const std::string table = metrics.FormatTable();
-  EXPECT_NE(table.find("priority"), std::string::npos) << table;
-  EXPECT_NE(table.find("starvation"), std::string::npos);
+  EXPECT_TRUE(service.Cancel(second.job_id));
+  EXPECT_TRUE(service.Cancel(first.job_id));
+  EXPECT_EQ(first.future.get().status, JobStatus::kCancelled);
+  EXPECT_EQ(second.future.get().status, JobStatus::kCancelled);
+  service.Shutdown();
+  EXPECT_EQ(starvation(), 0.0);
 }
 
 TEST(RefreshServiceTest, StarvationGaugeTracksLiveQueue) {
@@ -519,9 +571,11 @@ TEST(RefreshServiceTest, StarvationGaugeTracksLiveQueue) {
   }
   for (auto& future : futures) future.get();
   service.Shutdown();
-  // Everything ran: the gauge must be clean.
-  EXPECT_EQ(service.metrics().StarvationSeconds(), 0.0);
-  EXPECT_EQ(service.metrics().Snapshot().queued_jobs, 0u);
+  // Everything ran: the gauge and the queue must be clean.
+  const auto snapshot = service.registry().Snapshot();
+  EXPECT_EQ(snapshot.at("sc_starvation_seconds"), 0.0);
+  EXPECT_EQ(snapshot.at("sc_queue_depth"), 0.0);
+  EXPECT_EQ(snapshot.at("sc_budget_waiting_jobs"), 0.0);
 }
 
 }  // namespace

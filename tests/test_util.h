@@ -2,6 +2,7 @@
 #define SC_TESTS_TEST_UTIL_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -119,6 +120,24 @@ inline graph::Graph RandomDag(std::int32_t num_nodes, std::uint64_t seed,
     }
   }
   return g;
+}
+
+/// Sums the series of `family` in an obs::Registry snapshot whose
+/// rendered labels contain `label_fragment` (e.g. `status="ok"`; empty
+/// matches every series). Histograms are summed through their
+/// `<name>_count` / `<name>_sum` families.
+inline double SumSeries(const std::map<std::string, double>& snapshot,
+                        const std::string& family,
+                        const std::string& label_fragment = "") {
+  double total = 0.0;
+  for (const auto& [key, value] : snapshot) {
+    if (key.compare(0, family.size(), family) != 0) continue;
+    const std::string labels = key.substr(family.size());
+    if (!labels.empty() && labels.front() != '{') continue;
+    if (labels.find(label_fragment) == std::string::npos) continue;
+    total += value;
+  }
+  return total;
 }
 
 }  // namespace sc::test
