@@ -2,7 +2,8 @@
 // pool grows, plus the intra-job DAG-parallel runtime: an inter-job
 // workers × intra-job lanes sweep, a wide synthetic DAG refreshed at
 // 1/2/4 lanes against throttled storage, and the stage-aware ordering
-// (opt::WidenStages) section. Every parallel config reports the
+// (opt::WidenStages: leading stages listed stage-major as far as the
+// memory gate allows) section. Every parallel config reports the
 // persistent LanePool's thread-start count and mean lane utilization, so
 // pool reuse and ordering wins are visible in the JSON, not just
 // jobs/sec. Emits JSON (stdout and, by default,
@@ -783,8 +784,9 @@ int Main(int argc, char** argv) {
   // 4. Stage-aware ordering: a chains-shaped workload (4 chains × 4
   //    deep) whose MA-DFS order lists each chain depth-first. With the
   //    in-order publish protocol that starves early antichains; the
-  //    opt::WidenStages post-pass reorders stage-major among
-  //    memory-equivalent prefixes, feeding all 4 lanes from the start.
+  //    opt::WidenStages post-pass lists the longest leading run of
+  //    stages that fits the memory gate stage-major, feeding all 4
+  //    lanes from the start.
   // -------------------------------------------------------------------
   workload::MvWorkload chains = workload::BuildChainsSynthetic(4, 4);
   {

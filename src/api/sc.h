@@ -29,7 +29,6 @@
 #include "cost/speedup.h"
 #include "engine/executor.h"
 #include "engine/plan.h"
-#include "engine/plan_serde.h"
 #include "graph/dot.h"
 #include "graph/fingerprint.h"
 #include "graph/graph.h"
@@ -60,7 +59,6 @@
 #include "workload/dag_gen.h"
 #include "workload/datagen.h"
 #include "workload/scale_model.h"
-#include "workload/workload_io.h"
 #include "workload/workloads.h"
 
 #endif  // SC_API_SC_H_

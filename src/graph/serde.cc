@@ -1,6 +1,5 @@
 #include "graph/serde.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "common/str_util.h"
@@ -77,27 +76,6 @@ bool Deserialize(const std::string& text, Graph* g, std::string* error) {
     return false;
   }
   return true;
-}
-
-bool SaveToFile(const Graph& g, const std::string& path, std::string* error) {
-  std::ofstream out(path);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open '" + path + "' for writing";
-    return false;
-  }
-  out << Serialize(g);
-  return static_cast<bool>(out);
-}
-
-bool LoadFromFile(const std::string& path, Graph* g, std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    if (error != nullptr) *error = "cannot open '" + path + "' for reading";
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Deserialize(buffer.str(), g, error);
 }
 
 }  // namespace sc::graph

@@ -1,7 +1,6 @@
 #ifndef SC_GRAPH_SERDE_H_
 #define SC_GRAPH_SERDE_H_
 
-#include <iosfwd>
 #include <string>
 
 #include "graph/graph.h"
@@ -24,10 +23,6 @@ std::string Serialize(const Graph& g);
 
 /// Parses the text format. On failure returns false and sets `error`.
 bool Deserialize(const std::string& text, Graph* g, std::string* error);
-
-/// File helpers; return false on I/O or parse failure.
-bool SaveToFile(const Graph& g, const std::string& path, std::string* error);
-bool LoadFromFile(const std::string& path, Graph* g, std::string* error);
 
 }  // namespace sc::graph
 

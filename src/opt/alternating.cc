@@ -94,10 +94,10 @@ AlternatingResult AlternatingOptimize(const graph::Graph& g,
   result.plan.order = std::move(tau);
   result.plan.flags = std::move(flags);
   if (options.widen_stages) {
-    // Budget-gated, so the feasibility guarantees above still hold. The
-    // greedy-prefix variant falls back to widening only the leading
-    // stages when the full stage-major reorder would overshoot.
-    result.plan = WidenStagesPrefix(g, result.plan, budget);
+    // Budget-gated, so the feasibility guarantees above still hold. It
+    // widens only the leading stages when the full stage-major reorder
+    // would overshoot.
+    result.plan = WidenStages(g, result.plan, budget);
   }
   result.total_score = TotalScore(g, result.plan.flags);
   return result;

@@ -37,11 +37,11 @@ struct AlternatingOptions {
   MkpOptions mkp;
 
   /// Applies the opt::WidenStages post-pass to the converged plan:
-  /// reorders the MA-DFS total order stage-major among memory-equivalent
-  /// prefixes so early antichains are as wide as possible — feeding the
-  /// parallel runtime's lanes without changing peak memory or the flag
-  /// set. Off by default (irrelevant for sequential execution); the
-  /// RefreshService turns it on whenever intra-job lanes are enabled.
+  /// lists the longest leading run of antichain stages stage-major that
+  /// keeps peak memory within the budget, so early antichains are as wide
+  /// as possible — feeding the parallel runtime's lanes without changing
+  /// the flag set. Off by default (irrelevant for sequential execution);
+  /// the RefreshService turns it on whenever intra-job lanes are enabled.
   bool widen_stages = false;
 };
 

@@ -5,7 +5,6 @@
 
 #include "common/bytes.h"
 #include "common/str_util.h"
-#include "common/table_printer.h"
 #include "opt/memory_usage.h"
 #include "opt/stages.h"
 
@@ -14,13 +13,6 @@ namespace sc::opt {
 AlternatingResult Optimizer::Optimize(const graph::Graph& g,
                                       std::int64_t budget) const {
   return AlternatingOptimize(g, budget, options_);
-}
-
-AlternatingResult Optimizer::OptimizeWithEstimator(
-    graph::Graph* g, std::int64_t budget,
-    const cost::SpeedupEstimator& estimator) const {
-  estimator.AnnotateGraph(g);
-  return AlternatingOptimize(*g, budget, options_);
 }
 
 AlternatingResult ReOptimizeAtBudget(const graph::Graph& g,
@@ -70,36 +62,6 @@ AlternatingResult ReOptimizeWithResidency(
 
 Plan WidenStages(const graph::Graph& g, const Plan& plan,
                  std::int64_t budget) {
-  // DecomposeStages validates the order and lists each stage by original
-  // order position, so concatenating the stages is exactly the stable
-  // stage-major reorder. Stage assignment is depth-based and therefore
-  // identical before and after.
-  const StageDecomposition stages = DecomposeStages(g, plan.order);
-  std::vector<graph::NodeId> sequence;
-  sequence.reserve(plan.order.sequence.size());
-  for (const auto& stage : stages.stages) {
-    sequence.insert(sequence.end(), stage.begin(), stage.end());
-  }
-  if (sequence == plan.order.sequence) return plan;
-  Plan widened;
-  widened.order = graph::Order::FromSequence(std::move(sequence));
-  widened.flags = plan.flags;
-  // Memory gate: stage-major interleaving can keep flagged outputs of
-  // sibling branches resident simultaneously. Accept the wider order
-  // only while it fits the catalog (or, without a budget, only when the
-  // peak is untouched).
-  const std::int64_t gate =
-      budget >= 0 ? std::max(budget,
-                             PeakMemoryUsage(g, plan.order, plan.flags))
-                  : PeakMemoryUsage(g, plan.order, plan.flags);
-  if (PeakMemoryUsage(g, widened.order, widened.flags) > gate) {
-    return plan;
-  }
-  return widened;
-}
-
-Plan WidenStagesPrefix(const graph::Graph& g, const Plan& plan,
-                       std::int64_t budget) {
   const StageDecomposition stages = DecomposeStages(g, plan.order);
   const std::int64_t gate =
       budget >= 0 ? std::max(budget,
@@ -170,63 +132,6 @@ bool ValidatePlan(const graph::Graph& g, const Plan& plan,
                           FormatBytes(budget).c_str()));
   }
   return true;
-}
-
-std::string ToString(NodeDecision decision) {
-  switch (decision) {
-    case NodeDecision::kFlagged:
-      return "kept in memory";
-    case NodeDecision::kOversize:
-      return "exceeds Memory Catalog";
-    case NodeDecision::kZeroScore:
-      return "no speedup from caching";
-    case NodeDecision::kBudgetContention:
-      return "lost to other nodes";
-  }
-  return "?";
-}
-
-std::vector<NodeExplanation> ExplainPlan(const graph::Graph& g,
-                                         const Plan& plan,
-                                         std::int64_t budget) {
-  std::vector<NodeExplanation> rows;
-  rows.reserve(plan.order.sequence.size());
-  for (graph::NodeId v : plan.order.sequence) {
-    NodeExplanation row;
-    row.node = v;
-    row.slot = plan.order.position[v];
-    row.speedup_score = g.node(v).speedup_score;
-    row.size_bytes = g.node(v).size_bytes;
-    if (plan.flags[v]) {
-      row.decision = NodeDecision::kFlagged;
-      row.release_slot = ReleaseSlot(g, plan.order, v);
-    } else if (g.node(v).size_bytes > budget) {
-      row.decision = NodeDecision::kOversize;
-    } else if (g.node(v).speedup_score <= 0.0) {
-      row.decision = NodeDecision::kZeroScore;
-    } else {
-      row.decision = NodeDecision::kBudgetContention;
-    }
-    rows.push_back(row);
-  }
-  return rows;
-}
-
-std::string FormatExplanation(const graph::Graph& g,
-                              const std::vector<NodeExplanation>& rows) {
-  TablePrinter table(
-      {"#", "MV", "size", "score (s)", "decision", "resident slots"});
-  for (const NodeExplanation& row : rows) {
-    std::string residency = "-";
-    if (row.decision == NodeDecision::kFlagged) {
-      residency = StrFormat("%d..%d", row.slot, row.release_slot);
-    }
-    table.AddRow({std::to_string(row.slot), g.node(row.node).name,
-                  FormatBytes(row.size_bytes),
-                  StrFormat("%.2f", row.speedup_score),
-                  ToString(row.decision), residency});
-  }
-  return table.ToString();
 }
 
 std::string DescribePlan(const graph::Graph& g, const Plan& plan) {

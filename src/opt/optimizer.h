@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "cost/speedup.h"
 #include "opt/alternating.h"
 #include "opt/types.h"
 
@@ -25,11 +24,6 @@ class Optimizer {
   /// cost::SpeedupEstimator).
   AlternatingResult Optimize(const graph::Graph& g,
                              std::int64_t budget) const;
-
-  /// Convenience: annotates scores from `estimator` first, then optimizes.
-  AlternatingResult OptimizeWithEstimator(
-      graph::Graph* g, std::int64_t budget,
-      const cost::SpeedupEstimator& estimator) const;
 
   const AlternatingOptions& options() const { return options_; }
 
@@ -67,35 +61,27 @@ AlternatingResult ReOptimizeWithResidency(
 /// depth-first — so under the runtime's in-order publish protocol, an
 /// early-completed node of a later branch waits for the whole earlier
 /// branch to publish before its children may dispatch, starving early
-/// antichains. WidenStages reorders the total order *stage-major*: nodes
-/// are listed by antichain stage (which is order-independent — a node's
-/// stage is its DAG depth), and by the original order position within a
-/// stage, which front-loads every stage's full width and publishes
-/// cross-branch siblings as early as possible.
+/// antichains. WidenStages reorders the leading stages of the total order
+/// *stage-major*: the first k antichain stages (a node's stage is its DAG
+/// depth, so it is order-independent) are listed stage by stage, by
+/// original order position within a stage, and the rest keep their
+/// original relative order. This front-loads each widened stage's full
+/// width and publishes cross-branch siblings as early as possible.
 ///
-/// The pass is memory-gated: the reordering is kept only if the plan's
-/// peak Memory-Catalog usage under the flag set stays within `budget` —
+/// The pass is memory-gated and picks the largest k whose plan keeps
+/// peak Memory-Catalog usage under the flag set within `budget`:
 /// interleaving flagged branches keeps more sibling outputs resident
 /// simultaneously, so the widened peak may exceed the MA-DFS peak, but
-/// never the catalog size. With `budget` < 0 (default) the gate is
-/// strict memory equivalence: the reordering must not raise the peak at
-/// all. On rejection the original plan is returned unchanged. Flags are
-/// never modified. Throws std::invalid_argument if the order is not a
+/// never the catalog size. Early antichains are where lane starvation
+/// hurts most (the run's tail drains anyway), so a feasible prefix
+/// captures most of the full reorder's win when the full reorder would
+/// overshoot. With `budget` < 0 (default) the gate is strict memory
+/// equivalence: the reordering must not raise the peak at all. When no
+/// widened prefix fits, the plan is returned unchanged. Flags are never
+/// modified. Throws std::invalid_argument if the order is not a
 /// topological order covering the graph.
 Plan WidenStages(const graph::Graph& g, const Plan& plan,
                  std::int64_t budget = -1);
-
-/// Greedy-prefix variant of WidenStages: instead of the all-or-nothing
-/// gate, widens as many *leading* stages as the memory gate allows — the
-/// first k stages are listed stage-major, the rest keep the original
-/// relative order — choosing the largest feasible k. Early antichains are
-/// where lane starvation hurts most (the run's tail drains anyway), so a
-/// feasible prefix captures most of the full reorder's win when the full
-/// reorder would overshoot the budget. k == num_stages reproduces
-/// WidenStages; k == 0 returns the plan unchanged. Gate semantics match
-/// WidenStages (budget < 0 ⇒ strict peak equivalence).
-Plan WidenStagesPrefix(const graph::Graph& g, const Plan& plan,
-                       std::int64_t budget = -1);
 
 /// Independent plan verifier used by tests and the Controller: checks that
 /// the order is a valid topological order, that no flagged node is oversize
@@ -106,37 +92,6 @@ bool ValidatePlan(const graph::Graph& g, const Plan& plan,
 
 /// Human-readable plan summary (order, flagged set, peak/average memory).
 std::string DescribePlan(const graph::Graph& g, const Plan& plan);
-
-/// Why a node ended up flagged or not in a given plan.
-enum class NodeDecision {
-  kFlagged,          // kept in the Memory Catalog
-  kOversize,         // size exceeds the Memory Catalog (V_exclude)
-  kZeroScore,        // no speedup from keeping it (V_exclude)
-  kBudgetContention, // eligible, but the knapsack chose other nodes
-};
-
-std::string ToString(NodeDecision decision);
-
-/// Per-node explanation of a plan: decision, slot, and residency span.
-struct NodeExplanation {
-  graph::NodeId node = graph::kInvalidNode;
-  NodeDecision decision = NodeDecision::kBudgetContention;
-  std::int32_t slot = -1;          // execution position under plan.order
-  std::int32_t release_slot = -1;  // last slot the output stays resident
-  double speedup_score = 0.0;
-  std::int64_t size_bytes = 0;
-};
-
-/// Explains every node of `plan` (ordered by execution slot). The
-/// explanation is derived, not stored: it can be produced for any plan,
-/// including baseline plans.
-std::vector<NodeExplanation> ExplainPlan(const graph::Graph& g,
-                                         const Plan& plan,
-                                         std::int64_t budget);
-
-/// Renders ExplainPlan as an aligned table for operators.
-std::string FormatExplanation(const graph::Graph& g,
-                              const std::vector<NodeExplanation>& rows);
 
 }  // namespace sc::opt
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 namespace sc::opt {
@@ -41,29 +40,6 @@ StageDecomposition DecomposeStages(const graph::Graph& g,
     result.stages[static_cast<std::size_t>(stage)].push_back(v);
   }
   return result;
-}
-
-std::size_t StageWidth(const graph::Graph& g, const graph::Order& order) {
-  const std::int32_t n = g.num_nodes();
-  if (static_cast<std::int32_t>(order.sequence.size()) != n) {
-    throw std::invalid_argument(
-        "StageWidth: order does not cover the graph");
-  }
-  std::vector<std::int32_t> stage_of(static_cast<std::size_t>(n), -1);
-  std::vector<std::size_t> counts;
-  std::size_t widest = 0;
-  for (const graph::NodeId v : order.sequence) {
-    std::int32_t stage = 0;
-    for (const graph::NodeId p : g.parents(v)) {
-      stage = std::max(stage, stage_of[static_cast<std::size_t>(p)] + 1);
-    }
-    stage_of[static_cast<std::size_t>(v)] = stage;
-    if (static_cast<std::size_t>(stage) >= counts.size()) {
-      counts.resize(static_cast<std::size_t>(stage) + 1, 0);
-    }
-    widest = std::max(widest, ++counts[static_cast<std::size_t>(stage)]);
-  }
-  return widest;
 }
 
 std::vector<double> EstimateNodeSeconds(const graph::Graph& g,
@@ -108,18 +84,6 @@ int MorselBudget(double est_seconds, double target_seconds,
   const double ratio = est_seconds / target_seconds;
   if (!(ratio < static_cast<double>(max_morsels))) return max_morsels;
   return static_cast<int>(std::ceil(ratio));
-}
-
-std::string DescribeStages(const graph::Graph& g,
-                           const StageDecomposition& stages) {
-  std::ostringstream out;
-  for (std::int32_t k = 0; k < stages.num_stages(); ++k) {
-    const auto& stage = stages.stages[static_cast<std::size_t>(k)];
-    out << "stage " << k << " [width " << stage.size() << "]:";
-    for (const graph::NodeId v : stage) out << " " << g.node(v).name;
-    out << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace sc::opt

@@ -57,8 +57,9 @@ struct ServiceOptions {
   /// Upper bound on one job's intra-job execution lanes (Controller
   /// max_parallel_nodes). Jobs may borrow idle workers' lanes up to this
   /// cap. With lanes > 1 the service also turns on the optimizer's
-  /// stage-aware ordering post-pass (opt::WidenStages) so cached plans
-  /// feed the lanes as wide an early antichain as peak memory allows.
+  /// stage-aware ordering post-pass (opt::WidenStages), which widens the
+  /// longest leading run of stages that fits the plan's budget, so cached
+  /// plans feed the lanes as wide an early antichain as memory allows.
   int max_intra_job_lanes = 1;
   /// Global Memory-Catalog bytes shared by all in-flight jobs; also what
   /// a job asks the broker for when it names no budget.

@@ -65,11 +65,6 @@ void ThrottledDisk::ReleaseChannel() {
   channel_cv_.notify_one();
 }
 
-void ThrottledDisk::InjectWriteFailure(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  write_failures_.insert(name);
-}
-
 void ThrottledDisk::SetFaultInjector(fault::FaultInjector* injector) {
   std::lock_guard<std::mutex> lock(mutex_);
   fault_injector_ = injector;
@@ -85,11 +80,6 @@ std::int64_t ThrottledDisk::WriteTable(const std::string& name,
   fault::FaultInjector* injector = nullptr;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (auto it = write_failures_.find(name);
-        it != write_failures_.end()) {
-      write_failures_.erase(it);
-      throw std::runtime_error("injected write failure for table " + name);
-    }
     injector = fault_injector_;
   }
   // Faults fire before any bytes land, so a failed write never leaves a

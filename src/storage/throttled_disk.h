@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <shared_mutex>
 #include <string>
 
@@ -85,12 +84,6 @@ class ThrottledDisk {
   /// Completed ReadTable calls for `name` since construction.
   std::int64_t read_count(const std::string& name) const;
 
-  /// Failure injection (tests): the next write of table `name` throws
-  /// std::runtime_error instead of persisting (one-shot). Used to verify
-  /// that materialization failures propagate through the background
-  /// writer into the Controller's run report.
-  void InjectWriteFailure(const std::string& name);
-
   /// Attaches a seeded fault injector: every read/write first probes it
   /// at Site::kDiskRead / kDiskWrite with the table name and throws
   /// fault::FaultError when a rule fires. Corruption rules at kDiskWrite
@@ -118,7 +111,6 @@ class ThrottledDisk {
   double total_read_seconds_ = 0.0;
   double total_write_seconds_ = 0.0;
   std::map<std::string, std::int64_t> read_counts_;
-  std::set<std::string> write_failures_;
   fault::FaultInjector* fault_injector_ = nullptr;  // not owned
 };
 

@@ -72,7 +72,8 @@ MvWorkload BuildStringHeavySynthetic(int width);
 /// `depth` antichain stages of width `chains`. This is the shape where
 /// execution-order choice matters to the parallel runtime: a depth-first
 /// order starves early antichains, a stage-major order feeds every lane
-/// (see opt::WidenStages).
+/// (opt::WidenStages lists the leading stages stage-major as far as the
+/// memory gate allows).
 MvWorkload BuildChainsSynthetic(int chains, int depth);
 
 /// Consistency check used by tests: every plan's scan leaves are either

@@ -9,6 +9,7 @@
 #include "storage/format.h"
 #include "workload/datagen.h"
 #include "workload/workloads.h"
+#include "test_util.h"
 
 namespace sc::runtime {
 namespace {
@@ -278,6 +279,7 @@ TEST(ControllerTest, BaseTableStaysResidentAcrossItsScans) {
 TEST(ControllerTest, BackgroundMaterializationFailureIsReported) {
   const auto data = TinyData();
   workload::MvWorkload wl = TinyWorkload();
+  fault::FaultInjector faults(/*seed=*/1);
   storage::ThrottledDisk disk(FreshDir("failbg"), FastDisk());
   Controller profiler(&disk, ControllerOptions{});
   profiler.LoadBaseTables(data);
@@ -287,37 +289,42 @@ TEST(ControllerTest, BackgroundMaterializationFailureIsReported) {
   const auto flagged = opt::FlaggedNodes(result.plan.flags);
   ASSERT_FALSE(flagged.empty());
   // Fail the background write of the first flagged MV.
-  disk.InjectWriteFailure(wl.graph.node(flagged.front()).name);
+  faults.AddRule(test::FailFirstWriteOf(wl.graph, flagged.front()));
+  disk.SetFaultInjector(&faults);
   ControllerOptions options;
   options.budget = budget;
   Controller controller(&disk, options);
   const RunReport report = controller.Run(wl, result.plan);
   EXPECT_FALSE(report.ok);
-  EXPECT_NE(report.error.find("injected write failure"),
+  EXPECT_NE(report.error.find("injected fault"),
             std::string::npos);
 }
 
 TEST(ControllerTest, ForegroundWriteFailureIsReported) {
   const auto data = TinyData();
   const workload::MvWorkload wl = TinyWorkload();
+  fault::FaultInjector faults(/*seed=*/1);
   storage::ThrottledDisk disk(FreshDir("failfg"), FastDisk());
   Controller controller(&disk, ControllerOptions{});
   controller.LoadBaseTables(data);
   // Unoptimized run writes every MV synchronously; fail one mid-run.
-  disk.InjectWriteFailure(wl.graph.node(5).name);
+  faults.AddRule(test::FailFirstWriteOf(wl.graph, 5));
+  disk.SetFaultInjector(&faults);
   const RunReport report = controller.RunUnoptimized(wl);
   EXPECT_FALSE(report.ok);
-  EXPECT_NE(report.error.find("injected write failure"),
+  EXPECT_NE(report.error.find("injected fault"),
             std::string::npos);
 }
 
 TEST(ControllerTest, RecoversOnRerunAfterFailure) {
   const auto data = TinyData();
   const workload::MvWorkload wl = TinyWorkload();
+  fault::FaultInjector faults(/*seed=*/1);
   storage::ThrottledDisk disk(FreshDir("recover"), FastDisk());
   Controller controller(&disk, ControllerOptions{});
   controller.LoadBaseTables(data);
-  disk.InjectWriteFailure(wl.graph.node(0).name);
+  faults.AddRule(test::FailFirstWriteOf(wl.graph, 0));
+  disk.SetFaultInjector(&faults);
   EXPECT_FALSE(controller.RunUnoptimized(wl).ok);
   // The injected failure is one-shot: a rerun succeeds and materializes
   // everything.

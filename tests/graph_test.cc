@@ -268,17 +268,5 @@ TEST(FingerprintNodesTest, LineageSensitiveAndEdgeOrderInsensitive) {
   EXPECT_NE(salted[a_sink], fa[a_sink]);
 }
 
-TEST(SerdeTest, FileRoundTrip) {
-  const Graph g = test::Figure8Graph();
-  const std::string path =
-      testing::TempDir() + "/sc_serde_roundtrip.graph";
-  std::string error;
-  ASSERT_TRUE(SaveToFile(g, path, &error)) << error;
-  Graph loaded;
-  ASSERT_TRUE(LoadFromFile(path, &loaded, &error)) << error;
-  EXPECT_EQ(loaded.num_nodes(), g.num_nodes());
-  EXPECT_EQ(loaded.num_edges(), g.num_edges());
-}
-
 }  // namespace
 }  // namespace sc::graph

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "cost/speedup.h"
 #include "opt/memory_usage.h"
 #include "opt/optimizer.h"
 #include "sim/cluster.h"

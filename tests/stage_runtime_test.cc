@@ -16,6 +16,7 @@
 #include "runtime/stage_scheduler.h"
 #include "workload/datagen.h"
 #include "workload/workloads.h"
+#include "test_util.h"
 
 namespace sc::runtime {
 namespace {
@@ -476,15 +477,20 @@ TEST(StageRuntimeTest, SharedLanePoolReusedAcrossRuns) {
 TEST(StageRuntimeTest, ParallelExecutionFailureIsReported) {
   const auto data = TinyData();
   const workload::MvWorkload wl = WideWorkload(6);
+  fault::FaultInjector faults(/*seed=*/1);
   storage::ThrottledDisk disk(FreshDir("wide_fail"), FastDisk());
   ControllerOptions options;
   options.max_parallel_nodes = 4;
   Controller controller(&disk, options);
   controller.LoadBaseTables(data);
-  disk.InjectWriteFailure("wide_mv_3");
+  const std::optional<graph::NodeId> victim =
+      wl.graph.FindByName("wide_mv_3");
+  ASSERT_TRUE(victim.has_value());
+  faults.AddRule(test::FailFirstWriteOf(wl.graph, *victim));
+  disk.SetFaultInjector(&faults);
   const RunReport report = controller.RunUnoptimized(wl);
   EXPECT_FALSE(report.ok);
-  EXPECT_NE(report.error.find("injected write failure"),
+  EXPECT_NE(report.error.find("injected fault"),
             std::string::npos);
   // The failure is one-shot; a rerun completes.
   EXPECT_TRUE(controller.RunUnoptimized(wl).ok);

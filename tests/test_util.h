@@ -1,16 +1,40 @@
 #ifndef SC_TESTS_TEST_UTIL_H_
 #define SC_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "fault/fault.h"
 #include "graph/graph.h"
 #include "graph/topo.h"
 
 namespace sc::test {
+
+/// A rule that fails the first disk write of node `v` once, and not as a
+/// retryable fault, so a rerun succeeds. FaultRule::match is a substring
+/// filter, so the test fails if `v`'s name occurs in another node's name.
+inline fault::FaultRule FailFirstWriteOf(const graph::Graph& g,
+                                         graph::NodeId v) {
+  const std::string& name = g.node(v).name;
+  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+    if (u != v && g.node(u).name.find(name) != std::string::npos) {
+      ADD_FAILURE() << "'" << name << "' also matches '" << g.node(u).name
+                    << "'";
+    }
+  }
+  fault::FaultRule rule;
+  rule.site = fault::Site::kDiskWrite;
+  rule.match = name;
+  rule.nth_hit = 1;
+  rule.max_fires = 1;
+  rule.transient = false;
+  return rule;
+}
 
 /// The toy graph of paper Figure 7 (sizes in GB, speedup score == size):
 ///
