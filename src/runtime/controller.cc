@@ -61,11 +61,12 @@ void BackoffSleep(int attempt, double base_ms, const CancelToken* cancel) {
 }  // namespace
 
 Materializer::Materializer(storage::ThrottledDisk* disk, LanePool* pool,
-                           obs::TraceRecorder* trace)
+                           obs::TraceRecorder* trace, std::uint64_t job_id)
     : disk_(disk),
       trace_(trace),
       pool_(pool),
-      track_(NextMaterializerTrack()) {}
+      track_(NextMaterializerTrack()),
+      job_id_(job_id) {}
 
 // The in-flight drain task references `this` and processes every queued
 // write before retiring — wait it out.
@@ -116,15 +117,18 @@ void Materializer::WriteOne(Task task) {
   for (int attempt = 0;; ++attempt) {
     try {
       const double write_start = MonotonicSeconds();
-      disk_->WriteTable(task.name, *task.table);
+      bool skipped = false;
+      disk_->WriteTable(task.name, *task.table, &skipped);
       if (trace_ != nullptr && trace_->enabled()) {
         // Explicit track: the executing thread is some lane, but the
         // write belongs on this materializer's timeline.
         trace_->CompleteOnTrack(
             track_, "materialize", task.name, write_start,
             MonotonicSeconds() - write_start,
-            StrFormat("\"bytes\":%lld",
-                      static_cast<long long>(task.table->ByteSize())));
+            StrFormat("\"job\":%llu,\"bytes\":%lld,\"skipped\":%s",
+                      static_cast<unsigned long long>(job_id_),
+                      static_cast<long long>(task.table->ByteSize()),
+                      skipped ? "true" : "false"));
       }
       task.done.set_value();
       return;
@@ -239,7 +243,8 @@ struct RunState {
         options(options_in),
         disk(disk_in),
         catalog(budget, options_in.shared_catalog),
-        materializer(disk_in, pool, options_in.trace) {
+        materializer(disk_in, pool, options_in.trace,
+                     options_in.trace_job_id) {
     const graph::Graph& g = wl.graph;
     materializer.SetRetryPolicy(options.retry_limit,
                                 options.retry_backoff_ms, options.cancel,

@@ -40,9 +40,12 @@ class Materializer {
  public:
   /// `pool` (not owned; must outlive this object) runs the drain task.
   /// `trace` (optional, not owned) receives a "materialize" span per
-  /// completed write on this materializer's track ("materializer-<k>").
+  /// completed write on this materializer's track ("materializer-<k>"),
+  /// carrying `job_id` (the "job" arg) and whether the disk skipped the
+  /// write as already on disk (the "skipped" arg).
   Materializer(storage::ThrottledDisk* disk, LanePool* pool,
-               obs::TraceRecorder* trace = nullptr);
+               obs::TraceRecorder* trace = nullptr,
+               std::uint64_t job_id = 0);
   /// Waits for every queued write to finish.
   ~Materializer();
 
@@ -90,6 +93,7 @@ class Materializer {
   obs::TraceRecorder* trace_;  // not owned; may be null
   LanePool* pool_;             // not owned
   std::string track_;          // "materializer-<k>" trace track
+  std::uint64_t job_id_;       // "job" arg of every span
   int retry_limit_ = 0;
   double retry_backoff_ms_ = 1.0;
   const CancelToken* cancel_ = nullptr;  // not owned; may be null

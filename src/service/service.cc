@@ -174,6 +174,13 @@ void RefreshService::RegisterComponentMirrors() {
        [this] {
          return static_cast<double>(shared_catalog_.manifest_compactions());
        }},
+      {"sc_disk_writes_skipped_total", kCounter,
+       "Warehouse writes skipped because their bytes were already on disk",
+       [this] {
+         return disk_ == nullptr
+                    ? 0.0
+                    : static_cast<double>(disk_->skipped_writes());
+       }},
       {"sc_dict_columns_total", kCounter,
        "Dictionary-encoded string columns materialized process-wide",
        [this] {

@@ -6,7 +6,9 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <stdexcept>
+#include <streambuf>
 
 #include "common/crc32c.h"
 
@@ -309,7 +311,55 @@ std::int64_t WriteFileAtomic(const std::string& path, WriteFn&& write_fn) {
   return bytes;
 }
 
+/// Stream buffer that appends everything written through it to a chunk
+/// list, filling each chunk to kEncodedChunkBytes before starting the
+/// next, so an encoding lands in memory once, without regrowing (and
+/// copying) one buffer to the file's size.
+class ChunkAppendBuf : public std::streambuf {
+ public:
+  explicit ChunkAppendBuf(EncodedBytes* chunks) : chunks_(chunks) {}
+
+ protected:
+  std::streamsize xsputn(const char* data, std::streamsize size) override {
+    auto left = static_cast<std::size_t>(size);
+    while (left > 0) {
+      if (chunks_->empty() || chunks_->back().size() == kEncodedChunkBytes) {
+        chunks_->emplace_back().reserve(kEncodedChunkBytes);
+      }
+      std::string& chunk = chunks_->back();
+      const std::size_t n =
+          std::min(left, kEncodedChunkBytes - chunk.size());
+      chunk.append(data, n);
+      data += n;
+      left -= n;
+    }
+    return size;
+  }
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) {
+      const char ch = traits_type::to_char_type(c);
+      xsputn(&ch, 1);
+    }
+    return traits_type::not_eof(c);
+  }
+
+ private:
+  EncodedBytes* chunks_;
+};
+
 }  // namespace
+
+std::int64_t WriteFileAtomic(const std::string& path,
+                             const EncodedBytes& chunks) {
+  return WriteFileAtomic(path, [&](std::ostream& out) {
+    std::int64_t bytes = 0;
+    for (const std::string& chunk : chunks) {
+      out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+      bytes += static_cast<std::int64_t>(chunk.size());
+    }
+    return bytes;
+  });
+}
 
 std::int64_t WriteTable(const engine::Table& table, std::ostream& out) {
   CrcSink sink(out);
@@ -696,6 +746,14 @@ engine::Table ReadTableCompressed(std::istream& in,
   CrcSource source(in, options.verify_checksums, "SCC1");
   source.FoldCrc(magic, sizeof(magic));
   return ReadCompressedBody(source);
+}
+
+EncodedBytes EncodeTableCompressed(const engine::Table& table) {
+  EncodedBytes chunks;
+  ChunkAppendBuf buf(&chunks);
+  std::ostream out(&buf);
+  WriteTableCompressed(table, out);
+  return chunks;
 }
 
 std::int64_t WriteTableFileCompressed(const engine::Table& table,

@@ -4,6 +4,7 @@
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "engine/table.h"
 
@@ -114,6 +115,23 @@ std::int64_t WriteTableCompressed(const engine::Table& table,
 /// bounded-allocation guarantees as ReadTable.
 engine::Table ReadTableCompressed(std::istream& in,
                                   const ReadOptions& options = {});
+
+/// An encoding held in memory: its bytes in order, split into chunks of
+/// kEncodedChunkBytes (only the last one shorter). Chunks of one size
+/// are what the allocator recycles best; one buffer regrown to each
+/// file's size leaves the heap fragmented.
+using EncodedBytes = std::vector<std::string>;
+inline constexpr std::size_t kEncodedChunkBytes = 64 * 1024;
+
+/// Encodes `table` as SCC1 in memory, once: the bytes
+/// WriteTableCompressed would stream.
+EncodedBytes EncodeTableCompressed(const engine::Table& table);
+
+/// Writes `chunks` to `path` through a temporary file renamed into
+/// place, so the destination is always either the old file or the new
+/// one. Returns bytes written; throws std::runtime_error on I/O failure.
+std::int64_t WriteFileAtomic(const std::string& path,
+                             const EncodedBytes& chunks);
 
 /// File wrappers with the same write-then-rename atomicity as
 /// WriteTableFile; throw std::runtime_error on I/O failure and

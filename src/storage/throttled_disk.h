@@ -50,16 +50,34 @@ struct DiskProfile {
 /// most `profile.channels` operations run concurrently overall. With the
 /// default single channel, background materialization genuinely competes
 /// with foreground I/O, as in §III-C.
+///
+/// Unchanged writes are skipped. SCC1 is canonical, so a table whose encoding
+/// equals the file this disk last landed under the same name is already on disk
+/// byte for byte, whatever produced it. What is trusted: an in-process record
+/// per name of the last landed write (a 64-bit hash of its bytes, its size,
+/// inode and mtime), plus one uncharged stat() of the file at skip time. Every
+/// landed write renames a fresh file into place and then sets its mtime just
+/// before the one it landed with, so any later change to the file (another
+/// writer's rename, an in-place overwrite, a truncation) moves the inode, the
+/// size or the mtime, and the next write lands again. A record is dropped on
+/// Remove, on any failed write, when an injected kDiskWrite corruption damages
+/// the landed file, and when a verified read of the name raises
+/// CorruptFileError; a new disk starts with none. A skipped write moves no
+/// bytes, takes no padding and does no file I/O, so it costs no device time
+/// beyond the encode-and-hash it held a channel for.
 class ThrottledDisk {
  public:
   ThrottledDisk(std::string root_dir, DiskProfile profile);
 
   /// Persists `table` as SCC1 in `<root>/<name>.sct` (the suffix names
-  /// the warehouse slot, not the encoding); returns bytes written, which
-  /// is also the size the write is padded for. Throws
+  /// the warehouse slot, not the encoding); returns the encoding's size
+  /// in bytes, which a landed write is padded for. When the bytes match
+  /// the file already on disk the write is skipped (see above), and
+  /// `*skipped` (if given) says which happened. Throws
   /// std::runtime_error on I/O failure.
   std::int64_t WriteTable(const std::string& name,
-                          const engine::Table& table);
+                          const engine::Table& table,
+                          bool* skipped = nullptr);
 
   /// Loads `<root>/<name>.sct` (SCC1, or a legacy SCT1 file), padded for
   /// the file's on-disk size. With DiskProfile::verify_reads the read
@@ -84,6 +102,12 @@ class ThrottledDisk {
   /// Completed ReadTable calls for `name` since construction.
   std::int64_t read_count(const std::string& name) const;
 
+  /// WriteTable calls skipped because their bytes were already on disk,
+  /// and the bytes those calls did not write. A skipped call's channel
+  /// time still counts in total_write_seconds().
+  std::int64_t skipped_writes() const;
+  std::int64_t skipped_write_bytes() const;
+
   /// Attaches a seeded fault injector: every read/write first probes it
   /// at Site::kDiskRead / kDiskWrite with the table name and throws
   /// fault::FaultError when a rule fires. Corruption rules at kDiskWrite
@@ -93,7 +117,27 @@ class ThrottledDisk {
   void SetFaultInjector(fault::FaultInjector* injector);
 
  private:
+  /// The file a landed write left under a name: what a later identical
+  /// write checks before it skips.
+  struct LandedFile {
+    std::uint64_t hash = 0;
+    std::int64_t bytes = 0;
+    std::uint64_t inode = 0;
+    std::int64_t mtime_ns = 0;
+  };
+
   std::string PathFor(const std::string& name) const;
+  /// True when the record for `name` matches `hash` and `bytes` and a
+  /// stat of the file still shows the recorded inode, size and mtime.
+  bool AlreadyOnDisk(const std::string& name, std::uint64_t hash,
+                     std::int64_t bytes) const;
+  void ForgetLanded(const std::string& name);
+  /// Fills `file`'s inode, size and mtime from a stat of `path`; false
+  /// when it cannot be stat'ed.
+  static bool StatFile(const std::string& path, LandedFile* file);
+  /// Sets the just-landed file's mtime one nanosecond back and stats it
+  /// into `file`; false on failure (the write then stays unrecorded).
+  static bool StampLanded(const std::string& path, LandedFile* file);
   /// Sleeps until `elapsed` reaches the target duration for `bytes`.
   void PadToTarget(double start_monotonic, std::int64_t bytes,
                    double bandwidth);
@@ -111,6 +155,9 @@ class ThrottledDisk {
   double total_read_seconds_ = 0.0;
   double total_write_seconds_ = 0.0;
   std::map<std::string, std::int64_t> read_counts_;
+  std::map<std::string, LandedFile> landed_;
+  std::int64_t skipped_writes_ = 0;
+  std::int64_t skipped_write_bytes_ = 0;
   fault::FaultInjector* fault_injector_ = nullptr;  // not owned
 };
 

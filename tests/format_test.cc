@@ -125,6 +125,32 @@ TEST(FormatTest, CompressedDictionaryPageIsCanonical) {
   EXPECT_EQ(back.column(0).dictionary()->size(), 2u);
 }
 
+TEST(FormatTest, InMemoryEncodingMatchesTheStreamInFullChunks) {
+  // ~200 KB of doubles: the encoding spans several chunks.
+  std::vector<double> values(25'000);
+  for (std::size_t i = 0; i < values.size(); ++i) values[i] = 0.5 * i;
+  std::vector<Column> cols;
+  cols.push_back(Column::FromDoubles(std::move(values)));
+  const Table t(Schema({Field{"d", DataType::kFloat64}}), std::move(cols));
+  std::stringstream stream;
+  WriteTableCompressed(t, stream);
+  const EncodedBytes chunks = EncodeTableCompressed(t);
+  ASSERT_GT(chunks.size(), 2u);
+  std::string joined;
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    if (i + 1 < chunks.size()) {
+      EXPECT_EQ(chunks[i].size(), kEncodedChunkBytes);
+    }
+    joined += chunks[i];
+  }
+  EXPECT_EQ(joined, stream.str());
+
+  const std::string path = testing::TempDir() + "/sc_format_chunks.sct";
+  EXPECT_EQ(WriteFileAtomic(path, chunks),
+            static_cast<std::int64_t>(joined.size()));
+  EXPECT_TRUE(ReadTableFile(path) == t);
+}
+
 TEST(FormatTest, MissingFileThrows) {
   EXPECT_THROW(ReadTableFile("/nonexistent/dir/x.sct"),
                std::runtime_error);

@@ -432,6 +432,71 @@ TEST(ServiceTraceTest, FourTenantFourLaneRunReconstructs) {
   EXPECT_NE(text.find("sc_job_exec_seconds_bucket"), std::string::npos);
 }
 
+TEST(ServiceTraceTest, MaterializeSpansCarryTheirJobId) {
+  // Background writes belong to the job that queued them: every
+  // materialize span names its job and whether the disk skipped it, so a
+  // per-job ledger can attribute the write.
+  storage::ThrottledDisk disk(FreshDir("materialize_jobs"), FastDisk());
+  auto wl = std::make_shared<workload::MvWorkload>(workload::BuildIo1());
+  {
+    runtime::Controller profiler(&disk, runtime::ControllerOptions{});
+    workload::DataGenOptions data_options;
+    data_options.scale = 0.03;
+    profiler.LoadBaseTables(workload::GenerateTpcdsData(data_options));
+    ASSERT_TRUE(profiler.ProfileAndAnnotate(wl.get()).ok);
+  }
+
+  TraceRecorder recorder;
+  ServiceOptions options;
+  options.num_workers = 4;
+  options.global_budget = 32LL * 1024 * 1024;
+  options.trace = &recorder;
+  RefreshService service(&disk, options);
+  std::vector<std::future<JobResult>> futures;
+  for (int i = 0; i < 6; ++i) {
+    RefreshJobSpec spec;
+    spec.workload = wl;
+    spec.tenant = "tenant" + std::to_string(i % 2);
+    futures.push_back(service.Submit(std::move(spec)));
+  }
+  std::set<std::uint64_t> job_ids;
+  for (auto& future : futures) {
+    const JobResult result = future.get();
+    ASSERT_TRUE(result.report.ok) << result.report.error;
+    job_ids.insert(result.job_id);
+  }
+  service.Shutdown();
+
+  std::map<std::uint64_t, std::set<std::string>> written_by_job;
+  std::int64_t skipped_spans = 0;
+  for (const TraceEvent& event : recorder.Events()) {
+    if (event.category != "materialize" || event.instant) continue;
+    const std::string& args = event.args_json;
+    const std::size_t at = args.find("\"job\":");
+    ASSERT_NE(at, std::string::npos) << args;
+    const std::uint64_t job = std::stoull(args.substr(at + 6));
+    EXPECT_EQ(job_ids.count(job), 1u) << args;
+    // One background write per MV and job.
+    EXPECT_TRUE(written_by_job[job].insert(event.name).second) << args;
+    const bool skipped = args.find("\"skipped\":true") != std::string::npos;
+    EXPECT_TRUE(skipped ||
+                args.find("\"skipped\":false") != std::string::npos)
+        << args;
+    if (skipped) ++skipped_spans;
+  }
+  EXPECT_FALSE(written_by_job.empty());
+  // The profiling run already wrote every MV, so refreshes of unchanged
+  // content skip their writes, and the service exports the count.
+  EXPECT_GT(skipped_spans, 0);
+  EXPECT_LE(skipped_spans, disk.skipped_writes());
+  EXPECT_DOUBLE_EQ(service.registry().Snapshot().at(
+                       "sc_disk_writes_skipped_total"),
+                   static_cast<double>(disk.skipped_writes()));
+  EXPECT_NE(service.PrometheusText().find(
+                "# TYPE sc_disk_writes_skipped_total counter"),
+            std::string::npos);
+}
+
 TEST(ServiceTraceTest, TracePathWritesLoadableFileAtShutdown) {
   storage::ThrottledDisk disk(FreshDir("tracepath"), FastDisk());
   auto wl = std::make_shared<workload::MvWorkload>(workload::BuildIo1());
