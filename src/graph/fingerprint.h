@@ -10,11 +10,12 @@ namespace sc::graph {
 
 /// Per-node content fingerprints: fingerprint[v] identifies *what node v
 /// computes* — its MV name combined with the fingerprints of its parents
-/// (upstream lineage) — so two nodes of different jobs agree exactly when
-/// they refresh the same MV from the same upstream chain. This is the key
-/// space of the cross-job storage::SharedCatalog: a fingerprint match
-/// means another job's resident output is byte-equivalent and can be read
-/// instead of recomputed.
+/// (upstream lineage) and with `node_salts[v]` — so two nodes of different
+/// jobs agree exactly when they refresh the same MV from the same upstream
+/// chain over the same base data. This is the MV key space of the
+/// cross-job storage::SharedCatalog: a fingerprint match means another
+/// job's resident output is byte-equivalent and can be read instead of
+/// recomputed.
 ///
 /// Execution metadata (sizes, speedup scores, observed timings) is
 /// deliberately excluded: it describes the *output*, not the content
@@ -26,13 +27,17 @@ namespace sc::graph {
 /// namespace on the service's disk, and workloads that must not share
 /// state must use distinct node names — the same rule that already
 /// governs their on-disk tables governs their shared-catalog entries.
-/// `salt` versions the whole key space (a data epoch): bumping it
-/// invalidates every cross-job match, e.g. after base tables change.
+///
+/// `node_salts` is empty or holds one value per node. The Controller
+/// passes the versions of the base tables each node scans
+/// (runtime::ContentKeysFor), so a reloaded base table changes the
+/// fingerprint of every MV computed from it, down the whole lineage.
 ///
 /// Returns an empty vector if `g` is not a DAG (no fingerprints can be
-/// assigned); callers treat that as "sharing unavailable".
-std::vector<std::uint64_t> FingerprintNodes(const Graph& g,
-                                            std::uint64_t salt = 0);
+/// assigned) or `node_salts` has the wrong size; callers treat that as
+/// "sharing unavailable".
+std::vector<std::uint64_t> FingerprintNodes(
+    const Graph& g, const std::vector<std::uint64_t>& node_salts = {});
 
 }  // namespace sc::graph
 

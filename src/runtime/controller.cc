@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "common/clock.h"
+#include "common/fnv.h"
 #include "common/str_util.h"
 #include "cost/speedup.h"
 #include "engine/executor.h"
@@ -205,6 +206,56 @@ double RunReport::CatalogHitRate() const {
 }
 
 // ---------------------------------------------------------------------------
+// Content keys
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// The base tables node `v` scans: referenced tables that are not MVs of
+/// the graph.
+std::vector<std::string> BaseTablesOf(const workload::MvWorkload& wl,
+                                      graph::NodeId v) {
+  std::vector<std::string> tables;
+  for (std::string& table :
+       wl.plans[static_cast<std::size_t>(v)]->ReferencedTables()) {
+    if (!wl.graph.FindByName(table).has_value()) {
+      tables.push_back(std::move(table));
+    }
+  }
+  return tables;
+}
+
+}  // namespace
+
+ContentKeys ContentKeysFor(const workload::MvWorkload& wl,
+                           const storage::ThrottledDisk& disk) {
+  const graph::Graph& g = wl.graph;
+  ContentKeys keys;
+  std::vector<std::uint64_t> salts(static_cast<std::size_t>(g.num_nodes()));
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    std::vector<std::string> tables = BaseTablesOf(wl, v);
+    // Sorted, so the salt depends on the set of tables scanned.
+    std::sort(tables.begin(), tables.end());
+    std::uint64_t salt = kFnvOffset;
+    for (const std::string& table : tables) {
+      auto it = keys.base.find(table);
+      if (it == keys.base.end()) {
+        it = keys.base.emplace(table, disk.Version(table)).first;
+      }
+      FnvMixString(&salt, table);
+      FnvMixUint(&salt, it->second.key);
+    }
+    salts[static_cast<std::size_t>(v)] = salt;
+  }
+  // A table the disk does not hold has nothing to share; its scans fail.
+  for (auto it = keys.base.begin(); it != keys.base.end();) {
+    it = it->second.key == 0 ? keys.base.erase(it) : std::next(it);
+  }
+  keys.nodes = graph::FingerprintNodes(g, salts);
+  return keys;
+}
+
+// ---------------------------------------------------------------------------
 // Run state shared by the sequential loop and the parallel runtime
 // ---------------------------------------------------------------------------
 
@@ -261,21 +312,26 @@ struct RunState {
     }
     if (options.shared_catalog != nullptr) {
       // The catalog becomes the per-job view onto the cross-job layer:
-      // every MV name is bound to its content fingerprint (reusing the
-      // service's precomputed vector when provided). An empty
-      // fingerprint set (non-DAG) simply leaves sharing off for the run.
+      // every MV and base-table name is bound to its content key (reusing
+      // the service's precomputed keys when provided). An empty key set
+      // (non-DAG) simply leaves sharing off for the run.
       catalog.SetSharedPinListener(options.shared_pin_listener);
       const std::size_t n = static_cast<std::size_t>(g.num_nodes());
-      std::vector<std::uint64_t> computed;
-      const std::vector<std::uint64_t>* fps = options.node_fingerprints;
-      if (fps == nullptr || fps->size() != n) {
-        computed = graph::FingerprintNodes(g, options.shared_epoch);
-        fps = &computed;
+      ContentKeys computed;
+      const ContentKeys* keys = options.content_keys;
+      if (keys == nullptr || keys->nodes.size() != n) {
+        computed = ContentKeysFor(wl, *disk);
+        keys = &computed;
       }
-      if (fps->size() == n) {
+      if (keys->nodes.size() == n) {
         for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
           catalog.BindSharedKey(g.node(v).name,
-                                (*fps)[static_cast<std::size_t>(v)]);
+                                keys->nodes[static_cast<std::size_t>(v)],
+                                g.node(v).DiskBytes());
+        }
+        for (const auto& [table, version] : keys->base) {
+          catalog.BindSharedKey(table, version.key, version.bytes,
+                                /*base=*/true);
         }
       }
     }
@@ -295,10 +351,9 @@ struct RunState {
     base_scans.resize(pending_children.size());
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
       const auto slot = static_cast<std::size_t>(v);
-      for (std::string& table : wl.plans[slot]->ReferencedTables()) {
-        if (g.FindByName(table).has_value()) continue;
+      base_scans[slot] = BaseTablesOf(wl, v);
+      for (const std::string& table : base_scans[slot]) {
         pending_scans[table].insert(position[slot]);
-        base_scans[slot].push_back(std::move(table));
       }
     }
   }
@@ -383,19 +438,24 @@ struct InputReads {
 };
 
 /// Resolves a scan that the catalog's flagged entries did not serve. A
-/// base table comes from the clean tier when resident; otherwise it is
-/// read from external storage and, while another scan of it is still
-/// pending, offered to the clean tier's free budget with that scan's
-/// plan position as its next use. A read that fails — a damaged file
-/// failing its checksum — throws before admission, so it is never kept.
+/// base table comes from memory when resident there: the clean tier, or
+/// the shared layer, which this run then pins until the table's last
+/// scan. Otherwise it is read from external storage and shared across
+/// jobs (with a shared layer), or — without one, or when the shared layer
+/// rejects it — offered, while another scan of it is still pending, to
+/// the clean tier's free budget with that scan's plan position as its
+/// next use. A read that fails — a damaged file failing its checksum —
+/// throws before either, so it is never kept.
 engine::TablePtr ReadInput(RunState& s, graph::NodeId v,
                            const std::string& name, InputReads* reads) {
   const auto scans = s.pending_scans.find(name);
   const bool base = scans != s.pending_scans.end();
   if (base) {
-    if (engine::TablePtr clean = s.catalog.GetClean(name)) {
+    engine::TablePtr resident = s.catalog.GetClean(name);
+    if (resident == nullptr) resident = s.catalog.PinSharedBase(name);
+    if (resident != nullptr) {
       s.base_input_hits.fetch_add(1, std::memory_order_relaxed);
-      return clean;
+      return resident;
     }
   }
   const double start = MonotonicSeconds();
@@ -405,6 +465,9 @@ engine::TablePtr ReadInput(RunState& s, graph::NodeId v,
   ++reads->base_reads;
   reads->base_bytes += std::max<std::int64_t>(0, s.disk->FileSize(name));
   s.base_input_disk_reads.fetch_add(1, std::memory_order_relaxed);
+  if (s.catalog.PublishSharedBase(name, table, table->ByteSize())) {
+    return table;
+  }
   std::lock_guard<std::mutex> lock(s.scans_mutex);
   // The next use is the earliest pending scan other than this one.
   const std::multiset<std::int64_t>& pending = scans->second;
@@ -421,7 +484,8 @@ engine::TablePtr ReadInput(RunState& s, graph::NodeId v,
 
 /// Retires node `v`'s base-table scans once it finished (or was reused
 /// without executing): a table whose last scan is done leaves the clean
-/// tier; the others move on to their next reader.
+/// tier, or has its shared pin dropped; the others move on to their next
+/// reader.
 void FinishScans(RunState& s, graph::NodeId v) {
   const auto slot = static_cast<std::size_t>(v);
   if (s.base_scans[slot].empty()) return;
@@ -431,6 +495,7 @@ void FinishScans(RunState& s, graph::NodeId v) {
     pending.erase(pending.find(s.position[slot]));
     if (pending.empty()) {
       s.catalog.Release(name);
+      s.catalog.UnpinShared(name);
     } else {
       s.catalog.SetCleanNextUse(name, *pending.begin());
     }
@@ -839,7 +904,7 @@ void RunStageParallel(RunState& s, int lanes, LanePool* pool,
                         static_cast<int>(stage)));
         }
       }
-      // Pin resident cross-job inputs at dispatch so the shared LRU
+      // Pin resident cross-job inputs at dispatch so the shared layer
       // cannot evict them between the scheduling decision and the
       // lane's read.
       if (s.options.shared_catalog != nullptr) {

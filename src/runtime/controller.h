@@ -107,6 +107,23 @@ class Materializer {
   bool pool_task_active_ = false;
 };
 
+/// The SharedCatalog keys of a workload's run over one disk. A base table
+/// is keyed by its file's version (ThrottledDisk::Version), and each MV by
+/// graph::FingerprintNodes salted with the versions of the base tables the
+/// node scans, so reloading a base table re-keys every MV computed from
+/// it and no job can be served the MVs of the old data.
+struct ContentKeys {
+  /// Per node id; empty when the graph is not a DAG (sharing off).
+  std::vector<std::uint64_t> nodes;
+  /// Per base table the workload scans and the disk holds: its version.
+  std::map<std::string, storage::ThrottledDisk::FileVersion> base;
+};
+
+/// Stats every base table `wl` scans on `disk` once (uncharged) and
+/// derives the run's content keys from the versions.
+ContentKeys ContentKeysFor(const workload::MvWorkload& wl,
+                           const storage::ThrottledDisk& disk);
+
 struct ControllerOptions {
   /// Memory Catalog size in bytes.
   std::int64_t budget = 64LL * 1024 * 1024;
@@ -186,24 +203,23 @@ struct ControllerOptions {
   bool compress_residency = true;
   /// Cross-job shared residency layer. When set, the run's Memory
   /// Catalog becomes a per-job view over this content-keyed
-  /// SharedCatalog: node names are bound to content fingerprints
-  /// (graph::FingerprintNodes), flagged outputs are published under
-  /// their fingerprint as the relaxed-publish replay enters them into
-  /// the catalog (unflagged outputs at their publish slot), inputs
-  /// resident from other jobs are pinned at dispatch and served at
-  /// memory speed, and a node whose own output is already resident is
-  /// reused outright instead of recomputed. Not owned; must outlive the
-  /// runs. Do not combine with ProfileAndAnnotate — reused nodes report
-  /// zero compute, which would corrupt the profile.
+  /// SharedCatalog: node and base-table names are bound to their content
+  /// keys (ContentKeysFor), flagged outputs are published under their
+  /// key as the relaxed-publish replay enters them into the catalog
+  /// (unflagged outputs at their publish slot), inputs resident from
+  /// other jobs are pinned at dispatch and served at memory speed, and a
+  /// node whose own output is already resident is reused outright
+  /// instead of recomputed. Base tables are shared too: a scan pins the
+  /// resident table, or reads it from storage and publishes it, and the
+  /// run holds the pin until the table's last scan. Not owned; must
+  /// outlive the runs. Do not combine with ProfileAndAnnotate — reused
+  /// nodes report zero compute, which would corrupt the profile.
   storage::SharedCatalog* shared_catalog = nullptr;
-  /// Salt mixed into the content fingerprints (a data epoch): bump it to
-  /// invalidate every cross-job match, e.g. after base tables change.
-  std::uint64_t shared_epoch = 0;
-  /// Precomputed graph::FingerprintNodes(graph, shared_epoch) for the
-  /// workload about to run (the RefreshService computes them once for
-  /// its residency snapshot). Not owned; must outlive the run and match
-  /// the graph — mismatches are ignored and recomputed.
-  const std::vector<std::uint64_t>* node_fingerprints = nullptr;
+  /// Precomputed ContentKeysFor(workload, disk) for the workload about to
+  /// run (the RefreshService computes them once for its residency
+  /// snapshot). Not owned; must outlive the run and match the graph —
+  /// mismatches are ignored and recomputed.
+  const ContentKeys* content_keys = nullptr;
   /// Observes cross-job pin lifecycle events (content key, bytes,
   /// pinned). The RefreshService charges pinned shared bytes to the
   /// reading tenant's quota through this hook.
@@ -286,9 +302,10 @@ struct RunReport {
   /// neither figure.
   std::int64_t catalog_hits = 0;
   std::int64_t catalog_misses = 0;
-  /// Base-table scans served from the catalog's clean tier vs. read from
-  /// external storage. Which scan reads first depends on lane timing, so
-  /// parallel runs may split these differently from sequential ones.
+  /// Base-table scans served from memory (the catalog's clean tier or
+  /// the shared layer) vs. read from external storage. Which scan reads
+  /// first depends on lane timing, so parallel runs may split these
+  /// differently from sequential ones.
   std::int64_t base_input_hits = 0;
   std::int64_t base_input_disk_reads = 0;
   /// High-water mark of flagged + clean-tier bytes; never above budget.
@@ -338,7 +355,9 @@ struct RunReport {
 /// clean tier and leaves after its last scan (or earlier, whenever a
 /// flagged Put or a reservation needs the room). MV names never enter the
 /// clean tier, so which outputs stay resident remains the optimizer's
-/// decision and the unoptimized run keeps no MV in memory.
+/// decision and the unoptimized run keeps no MV in memory. With a shared
+/// layer, base tables live there instead (see
+/// ControllerOptions::shared_catalog), across jobs.
 ///
 /// With max_parallel_nodes > 1 the run executes on the stage-scheduled
 /// parallel runtime: a StageScheduler derives antichain stages from the

@@ -8,7 +8,6 @@
 #include "common/clock.h"
 #include "common/fnv.h"
 #include "common/str_util.h"
-#include "graph/fingerprint.h"
 #include "opt/memory_usage.h"
 #include "opt/optimizer.h"
 #include "opt/stages.h"
@@ -46,13 +45,16 @@ RefreshService::RefreshService(storage::ThrottledDisk* disk,
       lanes_broker_(std::max(1, options_.num_workers),
                     options_.max_intra_job_lanes),
       lane_pool_(std::max(1, options_.num_workers)),
-      shared_catalog_(options_.global_budget, 8, [&] {
-        storage::SpillOptions spill;
-        spill.directory = options_.spill_directory;
-        spill.max_bytes = options_.spill_max_bytes;
-        spill.recover = options_.spill_recover;
-        return spill;
-      }()) {
+      shared_catalog_(
+          options_.global_budget, 8,
+          [&] {
+            storage::SpillOptions spill;
+            spill.directory = options_.spill_directory;
+            spill.max_bytes = options_.spill_max_bytes;
+            spill.recover = options_.spill_recover;
+            return spill;
+          }(),
+          disk_ != nullptr ? disk_->profile() : storage::DiskProfile{}) {
   // Trace wiring happens before any worker spawns: the SharedCatalog's
   // recorder hook must be set before concurrent use.
   if (options_.trace != nullptr) {
@@ -518,9 +520,10 @@ JobResult RefreshService::Execute(Job& job) {
     std::vector<bool> resident;
     bool any_resident = false;
     std::uint64_t plan_key = job.fingerprint;
-    std::vector<std::uint64_t> fps;  // outlives the controller runs
+    runtime::ContentKeys keys;  // outlives the controller runs
     if (options_.share_catalog) {
-      fps = graph::FingerprintNodes(wl.graph, options_.shared_epoch);
+      keys = runtime::ContentKeysFor(wl, *disk_);
+      const std::vector<std::uint64_t>& fps = keys.nodes;
       resident = shared_catalog_.ContainsAll(fps);
       // Only positive-score resident nodes change the optimization
       // problem (ReOptimizeWithResidency's own no-op test), so only
@@ -665,10 +668,9 @@ JobResult RefreshService::Execute(Job& job) {
       // pinned cross-job bytes are charged to the reading tenant's
       // quota (once per content key) through the broker hook.
       controller_options.shared_catalog = &shared_catalog_;
-      controller_options.shared_epoch = options_.shared_epoch;
-      // Reuse the residency snapshot's fingerprints (empty or mismatched
-      // vectors are recomputed by the controller).
-      controller_options.node_fingerprints = &fps;
+      // Reuse the residency snapshot's keys (empty or mismatched key
+      // sets are recomputed by the controller).
+      controller_options.content_keys = &keys;
       controller_options.shared_pin_listener =
           [this, tenant = job.spec.tenant](std::uint64_t key,
                                            std::int64_t bytes,
@@ -769,8 +771,9 @@ void RefreshService::RecordJob(const Job& job, const JobResult& result) {
   }
   registry_
       .GetCounter("sc_base_input_hits_total",
-                  "Base-table scans served from the Memory Catalog's "
-                  "clean tier instead of external storage")
+                  "Base-table scans served from memory (the Memory "
+                  "Catalog's clean tier or the shared catalog) instead "
+                  "of external storage")
       ->Increment(result.report.base_input_hits);
   registry_
       .GetHistogram("sc_job_queue_wait_seconds",

@@ -70,8 +70,10 @@ struct ServiceOptions {
   /// Cross-job Memory-Catalog sharing: route every worker's runs through
   /// one content-keyed storage::SharedCatalog (budget = global_budget),
   /// so tenants refreshing the same content read each other's resident
-  /// outputs — and skip recomputing nodes whose outputs are already
-  /// resident — instead of each funding a private catalog slice. Plans
+  /// outputs and base tables — and skip recomputing nodes whose outputs
+  /// are already resident — instead of each funding a private catalog
+  /// slice. Base tables are keyed by file version, so a reload never
+  /// serves MVs of the old data (runtime::ContentKeysFor). Plans
   /// are then re-costed for the resident nodes before execution
   /// (opt::ReOptimizeWithResidency). Off reproduces the PR-3
   /// private-catalog behaviour exactly.
@@ -97,9 +99,6 @@ struct ServiceOptions {
   /// runtime::ControllerOptions::compress_residency). Off reproduces the
   /// plain-string footprints of the pre-compression service.
   bool compress_residency = true;
-  /// Content-fingerprint salt (a data epoch): bump it to invalidate
-  /// every cross-job match, e.g. after base tables change.
-  std::uint64_t shared_epoch = 0;
   /// Optimizer configuration used when a job misses the plan cache.
   opt::AlternatingOptions optimizer;
   /// Observability trace recorder (obs::TraceRecorder) every job's

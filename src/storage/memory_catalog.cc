@@ -13,9 +13,10 @@ MemoryCatalog::MemoryCatalog(std::int64_t budget_bytes,
 MemoryCatalog::~MemoryCatalog() { UnpinShared(); }
 
 void MemoryCatalog::BindSharedKey(const std::string& name,
-                                  std::uint64_t key) {
+                                  std::uint64_t key,
+                                  std::int64_t disk_bytes, bool base) {
   std::lock_guard<std::mutex> lock(mutex_);
-  bindings_[name] = key;
+  bindings_[name] = Binding{key, disk_bytes, base};
 }
 
 void MemoryCatalog::SetSharedPinListener(SharedPinListener listener) {
@@ -25,6 +26,7 @@ void MemoryCatalog::SetSharedPinListener(SharedPinListener listener) {
 bool MemoryCatalog::Put(const std::string& name, engine::TablePtr table,
                         std::int64_t size) {
   std::uint64_t key = 0;
+  std::int64_t disk_bytes = 0;
   bool publish = false;
   std::optional<SharedPin> released;
   {
@@ -45,7 +47,8 @@ bool MemoryCatalog::Put(const std::string& name, engine::TablePtr table,
     if (shared_ != nullptr) {
       auto b = bindings_.find(name);
       if (b != bindings_.end()) {
-        key = b->second;
+        key = b->second.key;
+        disk_bytes = b->second.disk_bytes;
         publish = true;
         self_published_.insert(name);
       }
@@ -64,7 +67,7 @@ bool MemoryCatalog::Put(const std::string& name, engine::TablePtr table,
   if (publish) {
     std::uint64_t stamp = 0;
     if (shared_->Publish(key, std::move(table), size, /*durable=*/false,
-                         &stamp) &&
+                         &stamp, disk_bytes) &&
         stamp != 0) {
       // Remember the claim ticket: if this output's materialization
       // later fails, QuarantineShared(name) condemns exactly this entry.
@@ -145,15 +148,67 @@ bool MemoryCatalog::PublishShared(const std::string& name,
                                   const engine::TablePtr& table,
                                   std::int64_t size) {
   if (shared_ == nullptr) return false;
-  std::uint64_t key = 0;
+  Binding binding;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = bindings_.find(name);
     if (it == bindings_.end()) return false;
-    key = it->second;
+    binding = it->second;
     self_published_.insert(name);
   }
-  return shared_->Publish(key, table, size, /*durable=*/true);
+  return shared_->Publish(binding.key, table, size, /*durable=*/true,
+                          nullptr, binding.disk_bytes);
+}
+
+engine::TablePtr MemoryCatalog::PinSharedBase(const std::string& name) {
+  if (shared_ == nullptr) return nullptr;
+  std::uint64_t key = 0;
+  std::int64_t size = 0;
+  engine::TablePtr table;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto pinned = pinned_.find(name);
+    if (pinned != pinned_.end()) return pinned->second.table;
+    auto binding = bindings_.find(name);
+    if (binding == bindings_.end() || !binding->second.base) return nullptr;
+    key = binding->second.key;
+    table = shared_->Pin(key, &size);
+    if (table == nullptr) return nullptr;
+    // No private grant funds a base table, so every base pin is charged.
+    pinned_.emplace(name, SharedPin{key, table, size, /*charged=*/true,
+                                    /*durable=*/true});
+  }
+  if (listener_) listener_(key, size, true);
+  return table;
+}
+
+bool MemoryCatalog::PublishSharedBase(const std::string& name,
+                                      const engine::TablePtr& table,
+                                      std::int64_t size) {
+  if (shared_ == nullptr) return false;
+  std::uint64_t key = 0;
+  std::int64_t pinned_size = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (pinned_.count(name) > 0) return true;  // another lane shared it
+    auto binding = bindings_.find(name);
+    if (binding == bindings_.end() || !binding->second.base) return false;
+    key = binding->second.key;
+    if (!shared_->Publish(key, table, size, /*durable=*/true, nullptr,
+                          binding->second.disk_bytes)) {
+      return false;
+    }
+    // An earlier publisher's equal table may stand under the key; pin
+    // whichever is resident. A concurrent eviction in between leaves
+    // nothing to hold.
+    engine::TablePtr resident = shared_->Pin(key, &pinned_size,
+                                             /*count=*/false);
+    if (resident == nullptr) return false;
+    pinned_.emplace(name, SharedPin{key, std::move(resident), pinned_size,
+                                    /*charged=*/true, /*durable=*/true});
+  }
+  if (listener_) listener_(key, pinned_size, true);
+  return true;
 }
 
 void MemoryCatalog::MarkSharedDurable(const std::string& name) {
@@ -163,7 +218,7 @@ void MemoryCatalog::MarkSharedDurable(const std::string& name) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = bindings_.find(name);
     if (it == bindings_.end()) return;
-    key = it->second;
+    key = it->second.key;
     publish_stamps_.erase(name);  // write landed: nothing to quarantine
   }
   shared_->MarkDurable(key);
@@ -195,32 +250,34 @@ engine::TablePtr MemoryCatalog::SharedLookup(const std::string& name,
   bool cross_job = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    auto binding = bindings_.find(name);
+    if (shared_ == nullptr || binding == bindings_.end() ||
+        binding->second.base) {
+      return nullptr;
+    }
     auto pinned = pinned_.find(name);
     if (pinned != pinned_.end()) {
       table = pinned->second.table;
       size = pinned->second.size;
       cross_job = pinned->second.charged;
       if (durable != nullptr) *durable = pinned->second.durable;
-    } else if (shared_ != nullptr) {
-      auto binding = bindings_.find(name);
-      if (binding != bindings_.end()) {
-        // view mutex → shared mutex; the shared layer never calls back.
-        // Speculative (non-counting) lookups keep the shared layer's
-        // hit-rate monitoring meaningful.
-        bool entry_durable = false;
-        table = shared_->Pin(binding->second, &size, count_hit,
-                             &entry_durable);
-        if (table != nullptr) {
-          key = binding->second;
-          // Reading back an output this view itself published is a
-          // memory-speed win but not cross-job service: no gauge, no
-          // tenant charge.
-          cross_job = self_published_.count(name) == 0;
-          pinned_.emplace(name, SharedPin{key, table, size, cross_job,
-                                          entry_durable});
-          fresh_charged_pin = cross_job;
-          if (durable != nullptr) *durable = entry_durable;
-        }
+    } else {
+      // view mutex → shared mutex; the shared layer never calls back.
+      // Speculative (non-counting) lookups keep the shared layer's
+      // hit-rate monitoring meaningful.
+      bool entry_durable = false;
+      table = shared_->Pin(binding->second.key, &size, count_hit,
+                           &entry_durable);
+      if (table != nullptr) {
+        key = binding->second.key;
+        // Reading back an output this view itself published is a
+        // memory-speed win but not cross-job service: no gauge, no
+        // tenant charge.
+        cross_job = self_published_.count(name) == 0;
+        pinned_.emplace(name, SharedPin{key, table, size, cross_job,
+                                        entry_durable});
+        fresh_charged_pin = cross_job;
+        if (durable != nullptr) *durable = entry_durable;
       }
     }
     if (table != nullptr && count_hit) {

@@ -19,22 +19,29 @@ namespace sc::storage {
 /// served at memory speed; entries are released once every dependent node
 /// has consumed them and the background materialization finished.
 ///
-/// Since PR 4 this is also the *per-job view* onto the cross-job
-/// SharedCatalog: constructed with a SharedCatalog, the name-keyed API
-/// becomes a name → content-fingerprint binding layer (BindSharedKey)
-/// over the content-keyed shared store. The private budget accounting is
-/// untouched — a job's own flagged outputs charge its granted budget
-/// exactly as in the sequential paper semantics — and the shared layer is
-/// additive:
+/// It is also the *per-job view* onto the cross-job SharedCatalog:
+/// constructed with a SharedCatalog, the name-keyed API becomes a name →
+/// content-key binding layer (BindSharedKey) over the content-keyed
+/// shared store, for MV outputs and base tables alike. The private budget
+/// accounting is untouched — a job's own flagged outputs charge its
+/// granted budget exactly as in the sequential paper semantics — and the
+/// shared layer is additive:
 ///
 ///  - Put() additionally publishes the output under its bound content
 ///    key, making it readable by concurrent jobs.
-///  - Get() falls through, on a private miss, to pinning the bound entry
-///    in the shared layer: a *cross-job hit*, served at memory speed and
-///    held pinned (unevictable) until UnpinShared()/Clear()/destruction.
+///  - Get() falls through, on a private miss, to pinning the bound MV
+///    entry in the shared layer: a *cross-job hit*, served at memory
+///    speed and held pinned (unevictable) until UnpinShared()/Clear()/
+///    destruction.
 ///  - PinSharedOutput() checks whether the node's *own* output is
 ///    already resident cross-job — if so the caller reuses it outright
 ///    instead of recomputing.
+///  - Base tables take their own path: PinSharedBase() serves a scan from
+///    the shared layer and PublishSharedBase() shares a table just read
+///    from storage; both hold the pin until UnpinShared(name). Get()
+///    never serves a base table, so base scans keep counting as misses.
+///  - With a shared layer the clean tier (below) only holds base tables
+///    the shared layer rejected.
 ///
 /// Without a SharedCatalog the behaviour is bit-identical to the
 /// pre-sharing catalog (the 1-lane equivalence contract of
@@ -75,10 +82,14 @@ class MemoryCatalog {
   MemoryCatalog(const MemoryCatalog&) = delete;
   MemoryCatalog& operator=(const MemoryCatalog&) = delete;
 
-  /// Binds `name` to its content fingerprint in the shared layer. Only
-  /// bound names participate in cross-job publish/pin. Call before the
-  /// run starts; not synchronized against concurrent Put/Get.
-  void BindSharedKey(const std::string& name, std::uint64_t key);
+  /// Binds `name` to its content key in the shared layer. Only bound
+  /// names participate in cross-job publish/pin. `disk_bytes` is what one
+  /// read of the content from storage moves; it prices the entry's misses
+  /// (SharedCatalog::Publish). `base` marks a base table, served only
+  /// through PinSharedBase / PublishSharedBase. Call before the run
+  /// starts; not synchronized against concurrent Put/Get.
+  void BindSharedKey(const std::string& name, std::uint64_t key,
+                     std::int64_t disk_bytes = 0, bool base = false);
 
   /// Installs the pin observer. Call before the run starts.
   void SetSharedPinListener(SharedPinListener listener);
@@ -87,8 +98,8 @@ class MemoryCatalog {
   /// the table's in-memory footprint). Returns false if the entry would
   /// exceed the budget or the name already exists. With a shared layer,
   /// a successful Put also publishes the table under `name`'s bound
-  /// content key (unpinned, LRU-evictable — never charged to this
-  /// job's private budget twice).
+  /// content key (unpinned, evictable — never charged to this job's
+  /// private budget twice).
   bool Put(const std::string& name, engine::TablePtr table,
            std::int64_t size);
 
@@ -149,6 +160,20 @@ class MemoryCatalog {
   bool PublishShared(const std::string& name,
                      const engine::TablePtr& table, std::int64_t size);
 
+  /// Base-table scan served by the shared layer: pins `name`'s bound
+  /// base entry for this view (once; later calls reuse the pin) and
+  /// returns it, or nullptr when it is not resident. The pin is charged
+  /// through the listener and held until UnpinShared(name). Counts a
+  /// shared-layer hit or miss, nothing in this view.
+  engine::TablePtr PinSharedBase(const std::string& name);
+
+  /// Shares base table `table`, just read from storage, under `name`'s
+  /// bound key (durable: it came from storage) and pins it for this view
+  /// as PinSharedBase does. Returns false, holding nothing, without a
+  /// shared layer or base binding, or when the shared layer rejects it.
+  bool PublishSharedBase(const std::string& name,
+                         const engine::TablePtr& table, std::int64_t size);
+
   /// Records that `name`'s published content reached external storage
   /// (its background materialization completed). No-op without a shared
   /// layer or binding.
@@ -174,9 +199,9 @@ class MemoryCatalog {
   void UnpinShared();
 
   /// Drops the single cross-job pin held for `name` — the run's last
-  /// consumer of that input finished, so the entry may re-enter the
-  /// shared LRU (and the tenant's charge is released) before the run
-  /// ends. No-op if `name` holds no pin.
+  /// consumer of that input finished, so the entry becomes evictable
+  /// again (and the tenant's charge is released) before the run ends.
+  /// No-op if `name` holds no pin.
   void UnpinShared(const std::string& name);
 
   /// Reservation API for the parallel runtime: earmarks `bytes` for a
@@ -254,6 +279,11 @@ class MemoryCatalog {
     /// Clean tier only: plan position of the entry's next reader.
     std::int64_t next_use = 0;
   };
+  struct Binding {
+    std::uint64_t key = 0;
+    std::int64_t disk_bytes = 0;
+    bool base = false;
+  };
   struct SharedPin {
     std::uint64_t key = 0;
     engine::TablePtr table;
@@ -265,9 +295,9 @@ class MemoryCatalog {
     bool durable = false;
   };
 
-  /// Serves `name` from the cross-job layer (already-pinned first, then
-  /// a fresh shared pin), counting `count_hit` ? hit+cross-job stats :
-  /// nothing. `durable` (optional) receives the entry's pin-time
+  /// Serves MV `name` from the cross-job layer (already-pinned first,
+  /// then a fresh shared pin), counting `count_hit` ? hit+cross-job
+  /// stats : nothing. `durable` (optional) receives the entry's pin-time
   /// durability. Returns nullptr when unavailable. Takes mutex_; fires
   /// the pin listener outside it.
   engine::TablePtr SharedLookup(const std::string& name, bool count_hit,
@@ -288,7 +318,7 @@ class MemoryCatalog {
   std::map<std::string, Entry> entries_;
   std::map<std::string, Entry> clean_entries_;
   std::map<std::string, std::int64_t> reservations_;
-  std::map<std::string, std::uint64_t> bindings_;
+  std::map<std::string, Binding> bindings_;
   /// Names this view itself published into the shared layer: reading
   /// them back is *not* a cross-job hit (no gauge, no tenant charge).
   std::set<std::string> self_published_;

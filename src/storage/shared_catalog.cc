@@ -15,10 +15,11 @@ namespace sc::storage {
 
 SharedCatalog::SharedCatalog(std::int64_t budget_bytes,
                              int negative_lookup_damp_limit,
-                             SpillOptions spill)
+                             SpillOptions spill, DiskProfile device)
     : budget_(budget_bytes),
       damp_limit_(negative_lookup_damp_limit),
-      spill_(std::move(spill)) {
+      spill_(std::move(spill)),
+      device_(device) {
   if (!spill_.directory.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(spill_.directory, ec);
@@ -107,9 +108,31 @@ void SharedCatalog::RecoverSpillDirectory(SpillManifest::OpenResult opened) {
   EnforceSpillCapLocked();  // the cap may have shrunk across the restart
 }
 
+double SharedCatalog::MissSeconds(std::int64_t disk_bytes) const {
+  return device_.latency +
+         static_cast<double>(std::max<std::int64_t>(0, disk_bytes)) /
+             device_.read_bw;
+}
+
+void SharedCatalog::RankLocked(std::uint64_t key, Entry* entry) {
+  const double bytes =
+      static_cast<double>(std::max<std::int64_t>(1, entry->size));
+  const double h =
+      inflation_ + static_cast<double>(entry->freq) * entry->miss_s / bytes;
+  entry->rank = queue_.insert(Rank{h, next_tick_++, key}).first;
+}
+
+bool SharedCatalog::MakeRoomLocked(std::int64_t size) {
+  while (used_.load(std::memory_order_relaxed) + size > budget_ &&
+         !queue_.empty()) {
+    EvictOneLocked();
+  }
+  return used_.load(std::memory_order_relaxed) + size <= budget_;
+}
+
 bool SharedCatalog::Publish(std::uint64_t key, engine::TablePtr table,
                             std::int64_t size, bool durable,
-                            std::uint64_t* stamp) {
+                            std::uint64_t* stamp, std::int64_t disk_bytes) {
   if (stamp != nullptr) *stamp = 0;
   // Degrade on injected publish faults: the caller already treats a
   // false return as the (routine) budget-reject path, so a firing rule
@@ -135,21 +158,24 @@ bool SharedCatalog::Publish(std::uint64_t key, engine::TablePtr table,
       rejects_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
-    lru_.erase(it->second.lru);
+    queue_.erase(it->second.rank);
     used_.fetch_sub(it->second.size, std::memory_order_relaxed);
     entries_.erase(it);
     it = entries_.end();
   }
   if (it != entries_.end()) {
-    // Content keys are immutable: refresh recency, keep the first table.
-    it->second.durable |= durable;
-    if (it->second.pins == 0) {
-      lru_.splice(lru_.begin(), lru_, it->second.lru);
+    // Content keys are immutable: count the use, keep the first table.
+    Entry& entry = it->second;
+    entry.durable |= durable;
+    ++entry.freq;
+    if (entry.pins == 0) {
+      queue_.erase(entry.rank);
+      RankLocked(key, &entry);
     }
-    if (stamp != nullptr) *stamp = it->second.stamp;
+    if (stamp != nullptr) *stamp = entry.stamp;
     return true;
   }
-  // Feasibility first: evicting the whole unpinned LRU leaves exactly
+  // Feasibility first: evicting every unpinned entry leaves exactly
   // the pinned bytes resident, so an entry that cannot fit next to them
   // is rejected before flushing anyone else's residency for nothing
   // (oversize nodes are routinely published unflagged).
@@ -163,28 +189,23 @@ bool SharedCatalog::Publish(std::uint64_t key, engine::TablePtr table,
     }
     return false;
   }
-  std::int64_t used = used_.load(std::memory_order_relaxed);
-  while (used + size > budget_ && !lru_.empty()) {
-    used -= entries_.at(lru_.back()).size;
-    EvictOneLocked();
-  }
-  if (used + size > budget_) {
+  if (!MakeRoomLocked(size)) {
     rejects_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   // A fresh publish supersedes any spill file left from a prior
   // eviction of this key: the resident entry is now the authority.
   EraseSpillLocked(key);
-  lru_.push_front(key);
   Entry entry;
   entry.table = std::move(table);
   entry.size = size;
+  entry.miss_s = MissSeconds(disk_bytes > 0 ? disk_bytes : size);
   entry.durable = durable;
   entry.stamp = next_stamp_++;
-  entry.lru = lru_.begin();
   if (stamp != nullptr) *stamp = entry.stamp;
-  entries_.emplace(key, std::move(entry));
-  used += size;
+  Entry& admitted = entries_.emplace(key, std::move(entry)).first->second;
+  RankLocked(key, &admitted);
+  const std::int64_t used = used_.load(std::memory_order_relaxed) + size;
   used_.store(used, std::memory_order_relaxed);
   if (used > peak_.load(std::memory_order_relaxed)) {
     peak_.store(used, std::memory_order_relaxed);
@@ -239,10 +260,11 @@ engine::TablePtr SharedCatalog::Pin(std::uint64_t key,
   if (size != nullptr) *size = entry.size;
   if (durable != nullptr) *durable = entry.durable;
   if (entry.pins == 0) {
-    lru_.erase(entry.lru);
+    queue_.erase(entry.rank);
     pinned_.fetch_add(entry.size, std::memory_order_relaxed);
   }
   ++entry.pins;
+  ++entry.freq;
   if (count) hits_.fetch_add(1, std::memory_order_relaxed);
   return entry.table;
 }
@@ -255,14 +277,13 @@ void SharedCatalog::Unpin(std::uint64_t key) {
   if (--entry.pins == 0) {
     pinned_.fetch_sub(entry.size, std::memory_order_relaxed);
     if (entry.quarantined) {
-      // Last reader of a condemned entry: erase instead of re-entering
-      // the LRU, so quarantined content can never be served again.
+      // Last reader of a condemned entry: erase instead of becoming
+      // evictable, so quarantined content can never be served again.
       used_.fetch_sub(entry.size, std::memory_order_relaxed);
       entries_.erase(it);
       return;
     }
-    lru_.push_front(key);
-    entry.lru = lru_.begin();
+    RankLocked(key, &entry);
   }
 }
 
@@ -305,7 +326,7 @@ bool SharedCatalog::Invalidate(std::uint64_t key, std::uint64_t stamp) {
                               static_cast<long long>(entry.size)));
   }
   if (entry.pins == 0) {
-    lru_.erase(entry.lru);
+    queue_.erase(entry.rank);
     used_.fetch_sub(entry.size, std::memory_order_relaxed);
     entries_.erase(it);
   } else {
@@ -342,10 +363,14 @@ std::size_t SharedCatalog::size() const {
 }
 
 void SharedCatalog::EvictOneLocked() {
-  const std::uint64_t victim = lru_.back();
-  lru_.pop_back();
+  const Rank rank = *queue_.begin();
+  queue_.erase(queue_.begin());
+  inflation_ = rank.h;
+  const std::uint64_t victim = rank.key;
   auto it = entries_.find(victim);
   const std::int64_t size = it->second.size;
+  const double miss_s = it->second.miss_s;
+  const std::int64_t freq = it->second.freq;
   if (spill_enabled_) {
     // Demote to a compressed spill file instead of dropping. The
     // record carries the publish stamp and durable flag so Invalidate
@@ -401,10 +426,13 @@ void SharedCatalog::EvictOneLocked() {
   entries_.erase(it);
   evictions_.fetch_add(1, std::memory_order_relaxed);
   if (trace_ != nullptr && trace_->enabled()) {
-    trace_->Instant("shared", "evict",
-                    StrFormat("\"key\":%llu,\"bytes\":%lld",
-                              static_cast<unsigned long long>(victim),
-                              static_cast<long long>(size)));
+    trace_->Instant(
+        "shared", "evict",
+        StrFormat("\"key\":%llu,\"bytes\":%lld,\"miss_s\":%.6f,"
+                  "\"freq\":%lld",
+                  static_cast<unsigned long long>(victim),
+                  static_cast<long long>(size), miss_s,
+                  static_cast<long long>(freq)));
   }
 }
 
@@ -439,6 +467,7 @@ engine::TablePtr SharedCatalog::RefillLocked(std::uint64_t key,
   const std::string path = sit->second.path;
   const bool rec_durable = sit->second.durable;
   const std::uint64_t rec_stamp = sit->second.stamp;
+  const std::int64_t rec_file_bytes = sit->second.file_bytes;
   engine::TablePtr table;
   try {
     // Verifying read (the ReadOptions default): this is where lazily
@@ -471,20 +500,17 @@ engine::TablePtr SharedCatalog::RefillLocked(std::uint64_t key,
     // a later, less contended Pin.
     return nullptr;
   }
-  std::int64_t used = used_.load(std::memory_order_relaxed);
-  while (used + sz > budget_ && !lru_.empty()) {
-    used -= entries_.at(lru_.back()).size;
-    EvictOneLocked();  // may itself spill — the compressed tier rotates
-  }
-  if (used + sz > budget_) return nullptr;
+  // Evictions may themselves spill — the compressed tier rotates.
+  if (!MakeRoomLocked(sz)) return nullptr;
   Entry entry;
   entry.table = table;
   entry.size = sz;
+  entry.miss_s = MissSeconds(rec_file_bytes);
   entry.pins = 1;  // born pinned: the caller is the reader
   entry.durable = rec_durable;
   entry.stamp = rec_stamp;
   entries_.emplace(key, std::move(entry));
-  used += sz;
+  const std::int64_t used = used_.load(std::memory_order_relaxed) + sz;
   used_.store(used, std::memory_order_relaxed);
   if (used > peak_.load(std::memory_order_relaxed)) {
     peak_.store(used, std::memory_order_relaxed);
@@ -530,12 +556,12 @@ void SharedCatalog::CountMissLocked(std::uint64_t key) {
 
 void SharedCatalog::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (const std::uint64_t key : lru_) {
-    auto it = entries_.find(key);
+  for (const Rank& rank : queue_) {
+    auto it = entries_.find(rank.key);
     used_.fetch_sub(it->second.size, std::memory_order_relaxed);
     entries_.erase(it);
   }
-  lru_.clear();
+  queue_.clear();
   // Spilled entries are unpinned by construction — drop them too.
   while (!spill_lru_.empty()) EraseSpillLocked(spill_lru_.back());
   epoch_.fetch_add(1, std::memory_order_relaxed);

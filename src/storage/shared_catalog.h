@@ -6,6 +6,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -15,6 +16,7 @@
 #include "fault/fault.h"
 #include "obs/trace.h"
 #include "storage/spill_manifest.h"
+#include "storage/throttled_disk.h"
 
 namespace sc::storage {
 
@@ -50,20 +52,33 @@ struct SpillOptions {
 };
 
 /// Cross-job shared residency layer: a content-keyed, budget-bounded
-/// table store that outlives any single refresh run. Keys are per-node
-/// content fingerprints (graph::FingerprintNodes — MV name + upstream
-/// lineage), so entries published by one job are directly readable by
-/// every concurrent or later job refreshing the same content, no matter
-/// which tenant produced them.
+/// table store that outlives any single refresh run, holding everything a
+/// job reads — MV outputs and base tables alike. MV keys are per-node
+/// content fingerprints (graph::FingerprintNodes: MV name, upstream
+/// lineage and the versions of the base tables the lineage scans); base
+/// table keys derive from the file's version (ThrottledDisk::Version).
+/// Entries published by one job are directly readable by every
+/// concurrent or later job reading the same content, no matter which
+/// tenant produced them.
 ///
 /// Lifetime model, by contrast with the per-job MemoryCatalog view:
 ///
 ///  - Publish() inserts an entry unpinned. Under budget pressure,
-///    *unpinned* entries are evicted LRU-style to make room — a full
-///    shared layer is normal operating pressure, not a plan bug.
+///    *unpinned* entries are evicted to make room — a full shared layer
+///    is normal operating pressure, not a plan bug.
 ///  - Pin() hands out the table and takes a reference: pinned entries
 ///    are never evicted, so a job can rely on a cross-job input staying
 ///    resident from dispatch until it drops the pin (Unpin).
+///
+/// Eviction keeps what saves the most device time per byte held, priced
+/// the way the paper's optimizer prices a node: GreedyDual-Size (Cao &
+/// Irani, USITS 1997) with GDSF's frequency term (Cherkasova, HP Labs
+/// 1998). Each unpinned entry carries H = L + freq * miss_s / size, where
+/// miss_s is one read of the content's stored bytes at the device's
+/// DiskProfile (latency + bytes / read_bw), size its accounted in-memory
+/// bytes, and freq the publishes and pins since it was admitted. The
+/// victim is the lowest H (oldest first on ties), and L rises to the
+/// victim's H, so an entry whose reuse stops ages out behind fresh ones.
 ///
 /// Invariants (asserted by shared_catalog_test under TSAN): used bytes
 /// never exceed the budget, and a pinned entry is never evicted.
@@ -83,9 +98,12 @@ class SharedCatalog {
   ///
   /// `spill` (see SpillOptions) demotes evicted entries to compressed
   /// on-disk files instead of dropping them; defaults to disabled.
+  ///
+  /// `device` prices a miss: the storage every entry would be re-read
+  /// from (its latency and read_bw; throttling plays no part).
   explicit SharedCatalog(std::int64_t budget_bytes,
                          int negative_lookup_damp_limit = 8,
-                         SpillOptions spill = {});
+                         SpillOptions spill = {}, DiskProfile device = {});
 
   /// Removes this catalog's spill files and manifest (best-effort) —
   /// unless SpillOptions::recover is set, in which case both are left
@@ -110,12 +128,14 @@ class SharedCatalog {
   }
 
   /// Inserts `table` under content key `key`, accounting `size` bytes.
-  /// Evicts unpinned entries (least-recently-used first) as needed to
-  /// fit. Returns false if the entry still cannot fit (pinned bytes or
+  /// `disk_bytes` is what one read of the content from storage moves (the
+  /// SCC1 file); it prices a miss, and <= 0 prices `size` instead. Evicts
+  /// unpinned entries (lowest H first, see the class comment) as needed
+  /// to fit. Returns false if the entry still cannot fit (pinned bytes or
   /// the entry's own size exceed the budget) or `size` is negative.
-  /// Publishing an existing key refreshes its recency and returns true —
-  /// content keys are immutable, so the first publisher's table stands
-  /// (`durable` still upgrades). `durable` records whether the content
+  /// Publishing an existing key counts one more use toward its frequency
+  /// and returns true — content keys are immutable, so the first
+  /// publisher's table stands (`durable` still upgrades). `durable` records whether the content
   /// already sits on external storage; publishers whose write is still
   /// in flight pass false and MarkDurable() once it lands, so readers
   /// know when skipping their own write is safe.
@@ -126,15 +146,15 @@ class SharedCatalog {
   /// and never a later republish of the same content.
   bool Publish(std::uint64_t key, engine::TablePtr table,
                std::int64_t size, bool durable = false,
-               std::uint64_t* stamp = nullptr);
+               std::uint64_t* stamp = nullptr, std::int64_t disk_bytes = 0);
 
   /// Records that `key`'s content has reached external storage (the
   /// publisher's materialization completed). No-op if absent.
   void MarkDurable(std::uint64_t key);
 
   /// Returns the table for `key` and takes a pin reference (entry
-  /// becomes unevictable until the matching Unpin), or nullptr on a
-  /// miss. `size` (optional) receives the entry's accounted bytes on a
+  /// becomes unevictable until the matching Unpin, and counts one more
+  /// use toward its frequency), or nullptr on a miss. `size` (optional) receives the entry's accounted bytes on a
   /// hit, `durable` (optional) whether the content is known to be on
   /// external storage. Counts a hit or miss unless `count` is false —
   /// speculative probes (dispatch-time input pinning) must not distort
@@ -143,7 +163,8 @@ class SharedCatalog {
                        bool count = true, bool* durable = nullptr);
 
   /// Drops one pin reference of `key`; at zero references the entry
-  /// re-enters the LRU list as most recently used. No-op if absent.
+  /// becomes evictable again, its H recomputed against the current L.
+  /// No-op if absent.
   void Unpin(std::uint64_t key);
 
   /// Quarantines the entry for `key` if it still carries publish stamp
@@ -257,10 +278,25 @@ class SharedCatalog {
   void Clear();
 
  private:
+  /// An unpinned entry's place in the eviction order: lowest H first,
+  /// then the earliest ranked.
+  struct Rank {
+    double h = 0.0;
+    std::uint64_t tick = 0;
+    std::uint64_t key = 0;
+    bool operator<(const Rank& other) const {
+      return h != other.h ? h < other.h : tick < other.tick;
+    }
+  };
+
   struct Entry {
     engine::TablePtr table;
     std::int64_t size = 0;
     std::int64_t pins = 0;
+    /// Device seconds one read of the content costs (the miss price).
+    double miss_s = 0.0;
+    /// Publishes and pins since admission.
+    std::int64_t freq = 1;
     /// Content has reached external storage (publisher's write landed).
     bool durable = false;
     /// Condemned by Invalidate() while pinned: served to nobody new,
@@ -268,8 +304,8 @@ class SharedCatalog {
     bool quarantined = false;
     /// Unique per-insert publish stamp (Invalidate's ABA guard).
     std::uint64_t stamp = 0;
-    /// Position in lru_; valid iff pins == 0.
-    std::list<std::uint64_t>::iterator lru;
+    /// Position in queue_; valid iff pins == 0.
+    std::set<Rank>::iterator rank;
   };
 
   /// One evicted-to-disk entry. Carries the publish stamp and durable
@@ -287,9 +323,19 @@ class SharedCatalog {
     std::list<std::uint64_t>::iterator lru;
   };
 
-  /// Erases the LRU tail entry, spilling it to disk first when spill is
-  /// enabled (a failed spill write degrades to a plain drop). Requires
-  /// mutex_; lru_ must be non-empty.
+  /// Device seconds one read of `disk_bytes` costs on device_.
+  double MissSeconds(std::int64_t disk_bytes) const;
+  /// Ranks unpinned `entry` (under `key`) in queue_ at H = L + freq *
+  /// miss_s / size. Requires mutex_.
+  void RankLocked(std::uint64_t key, Entry* entry);
+  /// Evicts unpinned entries, lowest H first, until `size` more bytes
+  /// fit the budget or nothing is left to evict; returns whether they
+  /// fit. Requires mutex_.
+  bool MakeRoomLocked(std::int64_t size);
+  /// Erases the lowest-H unpinned entry and raises L to its H, spilling
+  /// it to disk first when spill is enabled (a failed spill write
+  /// degrades to a plain drop). Requires mutex_; queue_ must be
+  /// non-empty.
   void EvictOneLocked();
   /// Counts a miss or a damped probe for absent `key`. Requires mutex_.
   void CountMissLocked(std::uint64_t key);
@@ -314,12 +360,17 @@ class SharedCatalog {
   const std::int64_t budget_;
   const int damp_limit_;
   const SpillOptions spill_;
+  const DiskProfile device_;
   bool spill_enabled_ = false;
   obs::TraceRecorder* trace_ = nullptr;  // not owned; may be null
   fault::FaultInjector* fault_injector_ = nullptr;  // not owned
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, Entry> entries_;
-  std::list<std::uint64_t> lru_;  // unpinned keys, front = most recent
+  /// Unpinned entries in eviction order (front = next victim).
+  std::set<Rank> queue_;
+  /// GreedyDual's inflation value L: the H of the last victim.
+  double inflation_ = 0.0;  // guarded by mutex_
+  std::uint64_t next_tick_ = 0;  // guarded by mutex_
   std::atomic<std::int64_t> used_{0};
   std::atomic<std::int64_t> pinned_{0};
   std::atomic<std::int64_t> peak_{0};

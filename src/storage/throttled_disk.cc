@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "common/fnv.h"
 #include "storage/format.h"
 
 namespace sc::storage {
@@ -304,6 +305,18 @@ std::int64_t ThrottledDisk::FileSize(const std::string& name) const {
   const auto size = fs::file_size(PathFor(name), ec);
   if (ec) return -1;
   return static_cast<std::int64_t>(size);
+}
+
+ThrottledDisk::FileVersion ThrottledDisk::Version(
+    const std::string& name) const {
+  LandedFile file;
+  if (!StatFile(PathFor(name), &file)) return {};
+  std::uint64_t key = kFnvOffset;
+  FnvMixString(&key, name);
+  FnvMixUint(&key, file.inode);
+  FnvMixInt(&key, file.bytes);
+  FnvMixInt(&key, file.mtime_ns);
+  return {key == 0 ? 1 : key, file.bytes};
 }
 
 double ThrottledDisk::total_read_seconds() const {

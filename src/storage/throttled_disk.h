@@ -92,6 +92,17 @@ class ThrottledDisk {
   /// Bytes of the stored table file, or -1 if absent.
   std::int64_t FileSize(const std::string& name) const;
 
+  /// A stored file's version, from one uncharged stat(): `key` hashes the
+  /// name, inode, size and mtime_ns (0 when the file is absent), `bytes`
+  /// is the size (-1 when absent). Every landed write renames a fresh file
+  /// into place and backdates its mtime, so any later change to the file
+  /// changes the key; a skipped identical write keeps it.
+  struct FileVersion {
+    std::uint64_t key = 0;
+    std::int64_t bytes = -1;
+  };
+  FileVersion Version(const std::string& name) const;
+
   const std::string& root_dir() const { return root_dir_; }
   const DiskProfile& profile() const { return profile_; }
 

@@ -11,6 +11,7 @@
 #include "runtime/lane_pool.h"
 #include "sim/refresh_sim.h"
 #include "storage/format.h"
+#include "storage/shared_catalog.h"
 #include "workload/datagen.h"
 #include "workload/workloads.h"
 #include "test_util.h"
@@ -400,6 +401,64 @@ TEST(ControllerTest, ReloadedBaseTableRewritesOnlyChangedMvs) {
   reference.LoadBaseTables(data);
   ASSERT_TRUE(reference.RunUnoptimized(wl).ok);
   for (const auto& [name, bytes] : before) {
+    EXPECT_TRUE(disk.ReadTable(name) == reference_disk.ReadTable(name))
+        << name;
+  }
+}
+
+/// `table` with its first half of rows: a reload whose bytes differ.
+engine::TablePtr FirstHalf(const engine::TablePtr& table) {
+  engine::MapResolver resolver({{"t", table}});
+  return std::make_shared<engine::Table>(engine::ExecutePlan(
+      *engine::Limit(engine::Scan("t"),
+                     static_cast<std::int64_t>(table->num_rows() / 2)),
+      resolver));
+}
+
+TEST(ControllerTest, SharedLayerReadsABaseTableOnceAcrossJobs) {
+  // With a shared layer, the first job's read of "item" serves its other
+  // scans and every later job's, until "item" is reloaded.
+  auto data = TinyData();
+  const workload::MvWorkload io1 = workload::BuildIo1();
+  const workload::MvWorkload io2 = workload::BuildIo2();
+  ASSERT_GT(ScansOf(io1, "item"), 1);
+  ASSERT_GT(ScansOf(io2, "item"), 0);
+  storage::ThrottledDisk disk(FreshDir("shared_base"), FastDisk());
+  storage::SharedCatalog shared(64LL << 20, 8, {}, disk.profile());
+  ControllerOptions options;
+  options.shared_catalog = &shared;
+  Controller controller(&disk, options);
+  controller.LoadBaseTables(data);
+
+  const RunReport first = controller.RunUnoptimized(io1);
+  ASSERT_TRUE(first.ok) << first.error;
+  EXPECT_EQ(disk.read_count("item"), 1);
+  EXPECT_GE(first.base_input_hits, ScansOf(io1, "item") - 1);
+  EXPECT_EQ(shared.pinned_bytes(), 0);
+
+  const RunReport second = controller.RunUnoptimized(io2);
+  ASSERT_TRUE(second.ok) << second.error;
+  EXPECT_EQ(disk.read_count("item"), 1);  // served by the shared layer
+  EXPECT_GE(second.base_input_hits, ScansOf(io2, "item"));
+  EXPECT_EQ(shared.pinned_bytes(), 0);
+
+  // A reload changes the file's version: the next job reads the table
+  // again and recomputes the MVs over it instead of reusing them.
+  data["item"] = FirstHalf(data.at("item"));
+  controller.LoadBaseTables({{"item", data.at("item")}});
+  const RunReport third = controller.RunUnoptimized(io1);
+  ASSERT_TRUE(third.ok) << third.error;
+  EXPECT_EQ(disk.read_count("item"), 2);
+  EXPECT_EQ(shared.pinned_bytes(), 0);
+  EXPECT_LE(shared.peak_bytes(), shared.budget_bytes());
+
+  storage::ThrottledDisk reference_disk(FreshDir("shared_base_ref"),
+                                        FastDisk());
+  Controller reference(&reference_disk, ControllerOptions{});
+  reference.LoadBaseTables(data);
+  ASSERT_TRUE(reference.RunUnoptimized(io1).ok);
+  for (graph::NodeId v = 0; v < io1.graph.num_nodes(); ++v) {
+    const std::string& name = io1.graph.node(v).name;
     EXPECT_TRUE(disk.ReadTable(name) == reference_disk.ReadTable(name))
         << name;
   }

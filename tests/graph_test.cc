@@ -263,9 +263,17 @@ TEST(FingerprintNodesTest, LineageSensitiveAndEdgeOrderInsensitive) {
   d.AddEdge(d_other, d_sink);
   EXPECT_NE(FingerprintNodes(d)[d_sink], fa[a_sink]);
 
-  // The salt versions the whole key space.
-  const auto salted = FingerprintNodes(a, /*salt=*/1);
+  // A node's salt (its base-table versions) reaches its descendants
+  // through the lineage, and nothing else.
+  std::vector<std::uint64_t> salts(4, 0);
+  salts[static_cast<std::size_t>(a_l)] = 1;
+  const auto salted = FingerprintNodes(a, salts);
+  EXPECT_EQ(salted[a_root], fa[a_root]);
+  EXPECT_EQ(salted[a_r], fa[a_r]);
+  EXPECT_NE(salted[a_l], fa[a_l]);
   EXPECT_NE(salted[a_sink], fa[a_sink]);
+  // A salt vector of the wrong size leaves sharing off.
+  EXPECT_TRUE(FingerprintNodes(a, {1, 2}).empty());
 }
 
 }  // namespace

@@ -480,5 +480,47 @@ TEST(MemoryCatalogViewTest, PutReleasesSelfOutputPin) {
   EXPECT_EQ(view.cross_job_hits(), 1);  // only the reuse itself
 }
 
+TEST(MemoryCatalogViewTest, BaseTablesTakeTheirOwnPath) {
+  SharedCatalog shared(1000);
+  MemoryCatalog view(100, &shared);
+  view.BindSharedKey("t", 9, /*disk_bytes=*/20, /*base=*/true);
+  std::vector<std::tuple<std::uint64_t, std::int64_t, bool>> events;
+  view.SetSharedPinListener(
+      [&events](std::uint64_t key, std::int64_t bytes, bool pinned) {
+        events.emplace_back(key, bytes, pinned);
+      });
+  EXPECT_EQ(view.PinSharedBase("t"), nullptr);  // not resident yet
+  engine::TablePtr read = Tiny();
+  ASSERT_TRUE(view.PublishSharedBase("t", read, 10));
+  EXPECT_TRUE(shared.Contains(9));
+  EXPECT_EQ(shared.pinned_bytes(), 10);
+  // Every base pin is charged: no private grant funds a base table.
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0], std::make_tuple(std::uint64_t{9},
+                                       std::int64_t{10}, true));
+  // Later scans reuse the held pin.
+  EXPECT_EQ(view.PinSharedBase("t"), read);
+  EXPECT_EQ(events.size(), 1u);
+  // Get() never serves a base table: base scans count as misses.
+  EXPECT_EQ(view.Get("t"), nullptr);
+  EXPECT_EQ(view.hits(), 0);
+  EXPECT_EQ(view.misses(), 1);
+  EXPECT_EQ(view.cross_job_hits(), 0);
+  // The last scan drops the pin.
+  view.UnpinShared("t");
+  EXPECT_EQ(shared.pinned_bytes(), 0);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_FALSE(std::get<2>(events[1]));
+
+  // Another job's view pins the shared table instead of reading it.
+  MemoryCatalog other(100, &shared);
+  other.BindSharedKey("t", 9, 20, /*base=*/true);
+  EXPECT_EQ(other.PinSharedBase("t"), read);
+  EXPECT_EQ(shared.pinned_bytes(), 10);
+  // An MV binding never goes through the base path.
+  other.BindSharedKey("mv", 7);
+  EXPECT_FALSE(other.PublishSharedBase("mv", Tiny(), 10));
+}
+
 }  // namespace
 }  // namespace sc::storage

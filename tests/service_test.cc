@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <future>
@@ -8,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "engine/executor.h"
 #include "fault/fault.h"
 #include "runtime/controller.h"
 #include "service/service.h"
@@ -481,6 +483,133 @@ TEST(RefreshServiceTest, CrossJobSharingCutsRecomputeAcrossTenants) {
   // total recompute is strictly below the private baseline's.
   EXPECT_LT(TotalComputeSeconds(shared_results),
             TotalComputeSeconds(private_results));
+}
+
+/// `table` with its first half of rows: a reload whose bytes differ.
+engine::TablePtr FirstHalf(const engine::TablePtr& table) {
+  engine::MapResolver resolver({{"t", table}});
+  return std::make_shared<engine::Table>(engine::ExecutePlan(
+      *engine::Limit(engine::Scan("t"),
+                     static_cast<std::int64_t>(table->num_rows() / 2)),
+      resolver));
+}
+
+/// Profiles `wl` on `disk`, whose base tables are already loaded.
+std::shared_ptr<const workload::MvWorkload> Annotated(
+    storage::ThrottledDisk* disk, workload::MvWorkload wl) {
+  runtime::Controller profiler(disk, runtime::ControllerOptions{});
+  auto annotated = std::make_shared<workload::MvWorkload>(std::move(wl));
+  EXPECT_TRUE(profiler.ProfileAndAnnotate(annotated.get()).ok);
+  return annotated;
+}
+
+TEST(RefreshServiceTest, ReloadedBaseTableNeverServesStaleMvs) {
+  // A running service refreshed Io1, then "promotion" was reloaded. The
+  // next refresh must recompute every MV over the new data instead of
+  // reusing the resident outputs computed from the old one.
+  storage::ThrottledDisk disk(FreshDir("reload_stale"), FastDisk());
+  auto wl = AnnotatedWorkload(&disk);
+  ServiceOptions options;
+  options.num_workers = 2;
+  options.global_budget = 64LL * 1024 * 1024;
+  RefreshService service(&disk, options);
+  RefreshJobSpec spec;
+  spec.workload = wl;
+  spec.tenant = "reload";
+  ASSERT_TRUE(service.Submit(spec).get().report.ok);
+
+  workload::DataGenOptions data_options;
+  data_options.scale = 0.03;
+  auto data = workload::GenerateTpcdsData(data_options);
+  data["promotion"] = FirstHalf(data.at("promotion"));
+  disk.WriteTable("promotion", *data.at("promotion"));
+  const JobResult after = service.Submit(spec).get();
+  ASSERT_TRUE(after.report.ok) << after.report.error;
+
+  storage::ThrottledDisk reference_disk(FreshDir("reload_stale_ref"),
+                                        FastDisk());
+  runtime::Controller reference(&reference_disk,
+                                runtime::ControllerOptions{});
+  reference.LoadBaseTables(data);
+  ASSERT_TRUE(reference.RunUnoptimized(*wl).ok);
+  int stale = 0;
+  for (graph::NodeId v = 0; v < wl->graph.num_nodes(); ++v) {
+    const std::string& name = wl->graph.node(v).name;
+    if (!(disk.ReadTable(name) == reference_disk.ReadTable(name))) {
+      ADD_FAILURE() << "stale MV " << name;
+      ++stale;
+    }
+  }
+  EXPECT_EQ(stale, 0);
+}
+
+TEST(RefreshServiceTest, SharedBaseTablesAreReadOnceAndUnpinnedAfterDrain) {
+  storage::ThrottledDisk disk(FreshDir("shared_base"), FastDisk());
+  auto io1 = AnnotatedWorkload(&disk);
+  auto io2 = Annotated(&disk, workload::BuildIo2());
+  ServiceOptions options;
+  options.num_workers = 4;
+  options.global_budget = 16LL * 1024 * 1024;
+  RefreshService service(&disk, options);
+  const storage::SharedCatalog& shared = service.shared_catalog();
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> over_budget{false};
+  std::thread monitor([&] {
+    while (!stop.load()) {
+      if (shared.used_bytes() > shared.budget_bytes()) over_budget = true;
+      std::this_thread::yield();
+    }
+  });
+
+  // Two jobs of different workloads scan "item": one read serves both.
+  const std::int64_t reads = disk.read_count("item");
+  RefreshJobSpec first;
+  first.workload = io1;
+  first.tenant = "a";
+  RefreshJobSpec second;
+  second.workload = io2;
+  second.tenant = "b";
+  ASSERT_TRUE(service.Submit(first).get().report.ok);
+  const JobResult served = service.Submit(second).get();
+  ASSERT_TRUE(served.report.ok) << served.report.error;
+  EXPECT_EQ(disk.read_count("item"), reads + 1);
+  EXPECT_GT(served.report.base_input_hits, 0);
+  EXPECT_GT(SumSeries(service.registry().Snapshot(),
+                      "sc_base_input_hits_total"),
+            0.0);
+
+  // Concurrent tenants over both workloads.
+  std::vector<std::future<JobResult>> futures;
+  for (int i = 0; i < 8; ++i) {
+    RefreshJobSpec spec;
+    spec.workload = i % 2 == 0 ? io1 : io2;
+    spec.tenant = "t" + std::to_string(i % 4);
+    futures.push_back(service.Submit(std::move(spec)));
+  }
+  for (auto& future : futures) {
+    const JobResult result = future.get();
+    EXPECT_TRUE(result.report.ok) << result.report.error;
+  }
+
+  // A reload changes the version: the next scan reads the table again.
+  workload::DataGenOptions data_options;
+  data_options.scale = 0.03;
+  const auto data = workload::GenerateTpcdsData(data_options);
+  disk.WriteTable("item", *FirstHalf(data.at("item")));
+  const std::int64_t before_reload = disk.read_count("item");
+  ASSERT_TRUE(service.Submit(first).get().report.ok);
+  EXPECT_EQ(disk.read_count("item"), before_reload + 1);
+
+  service.Shutdown();
+  stop = true;
+  monitor.join();
+  EXPECT_FALSE(over_budget.load());
+  EXPECT_LE(shared.peak_bytes(), shared.budget_bytes());
+  EXPECT_EQ(shared.pinned_bytes(), 0);
+  for (const std::string tenant : {"a", "b", "t0", "t1", "t2", "t3"}) {
+    EXPECT_EQ(service.broker().tenant_shared_bytes(tenant), 0) << tenant;
+  }
 }
 
 TEST(RefreshServiceTest, QueueWaitHistogramIsLabelledByPriority) {

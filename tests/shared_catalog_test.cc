@@ -3,10 +3,16 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iostream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/trace.h"
+#include "sim/lru_cache.h"
 #include "storage/shared_catalog.h"
 
 namespace sc::storage {
@@ -52,11 +58,19 @@ TEST(SharedCatalogTest, PublishExistingKeyKeepsFirstTable) {
   EXPECT_EQ(catalog.Pin(7), first);
 }
 
-TEST(SharedCatalogTest, EvictsUnpinnedLruUnderPressure) {
-  SharedCatalog catalog(100);
+/// The tenant_mix warehouse disk: 2 ms per access, 80 MB/s reads.
+DiskProfile WarehouseDisk() {
+  DiskProfile disk;
+  disk.read_bw = 80e6;
+  disk.latency = 2e-3;
+  return disk;
+}
+
+TEST(SharedCatalogTest, EvictsUnpinnedLowestPriorityUnderPressure) {
+  SharedCatalog catalog(100, 8, {}, WarehouseDisk());
+  // Equal sizes and prices: a use raises 1 above 2, so 2 goes first.
   EXPECT_TRUE(catalog.Publish(1, Tiny(), 40));
   EXPECT_TRUE(catalog.Publish(2, Tiny(), 40));
-  // Touch 1 so 2 becomes the LRU victim.
   catalog.Pin(1);
   catalog.Unpin(1);
   EXPECT_TRUE(catalog.Publish(3, Tiny(), 40));  // evicts 2
@@ -65,6 +79,157 @@ TEST(SharedCatalogTest, EvictsUnpinnedLruUnderPressure) {
   EXPECT_TRUE(catalog.Contains(3));
   EXPECT_EQ(catalog.evictions(), 1);
   EXPECT_LE(catalog.used_bytes(), catalog.budget_bytes());
+  // L rose to 2's H when 2 went, so 3 (one use on top of L) ranks level
+  // with 1 (two uses at L = 0). On the tie the older entry goes first.
+  EXPECT_TRUE(catalog.Publish(4, Tiny(), 40));
+  EXPECT_FALSE(catalog.Contains(1));
+  EXPECT_TRUE(catalog.Contains(3));
+  EXPECT_EQ(catalog.evictions(), 2);
+}
+
+TEST(SharedCatalogTest, LowerPricePerByteGoesFirst) {
+  SharedCatalog catalog(100, 8, {}, WarehouseDisk());
+  // 2 is older and untouched, so LRU would evict it. But a miss of 2
+  // re-reads 4 MB (52 ms), a miss of 1 only 40 bytes (2 ms), for the
+  // same 40 bytes held.
+  EXPECT_TRUE(catalog.Publish(2, Tiny(), 40, false, nullptr, 4'000'000));
+  EXPECT_TRUE(catalog.Publish(1, Tiny(), 40, false, nullptr, 40));
+  EXPECT_TRUE(catalog.Publish(3, Tiny(), 40, false, nullptr, 40));
+  EXPECT_FALSE(catalog.Contains(1));
+  EXPECT_TRUE(catalog.Contains(2));
+  EXPECT_TRUE(catalog.Contains(3));
+  // Price per byte, not price: a bigger entry with the same miss price
+  // saves less per byte held.
+  SharedCatalog sized(100, 8, {}, WarehouseDisk());
+  EXPECT_TRUE(sized.Publish(1, Tiny(), 20, false, nullptr, 1000));
+  EXPECT_TRUE(sized.Publish(2, Tiny(), 60, false, nullptr, 1000));
+  EXPECT_TRUE(sized.Publish(3, Tiny(), 30, false, nullptr, 1000));
+  EXPECT_TRUE(sized.Contains(1));
+  EXPECT_FALSE(sized.Contains(2));
+}
+
+TEST(SharedCatalogTest, FrequencyProtectsAHotEntry) {
+  SharedCatalog catalog(100, 8, {}, WarehouseDisk());
+  EXPECT_TRUE(catalog.Publish(1, Tiny(), 40));
+  EXPECT_TRUE(catalog.Publish(2, Tiny(), 40));
+  for (int i = 0; i < 3; ++i) {  // 1 is hot
+    ASSERT_NE(catalog.Pin(1), nullptr);
+    catalog.Unpin(1);
+  }
+  // 2 is used last, so LRU would evict 1.
+  ASSERT_NE(catalog.Pin(2), nullptr);
+  catalog.Unpin(2);
+  EXPECT_TRUE(catalog.Publish(3, Tiny(), 40));
+  EXPECT_TRUE(catalog.Contains(1));
+  EXPECT_FALSE(catalog.Contains(2));
+  // A republish counts as a use too.
+  EXPECT_TRUE(catalog.Publish(3, Tiny(), 40));
+  EXPECT_TRUE(catalog.Publish(3, Tiny(), 40));
+  EXPECT_TRUE(catalog.Publish(3, Tiny(), 40));
+  EXPECT_TRUE(catalog.Publish(3, Tiny(), 40));
+  EXPECT_TRUE(catalog.Publish(4, Tiny(), 40));
+  EXPECT_TRUE(catalog.Contains(3));
+  EXPECT_FALSE(catalog.Contains(1));
+}
+
+TEST(SharedCatalogTest, AgingEvictsAnOldVersionAfterItsReuseStops) {
+  SharedCatalog catalog(100, 8, {}, WarehouseDisk());
+  // Key 1 is a base table's old version: read by many jobs, then the
+  // table is reloaded and every job reads new keys instead.
+  EXPECT_TRUE(catalog.Publish(1, Tiny(), 40));
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_NE(catalog.Pin(1), nullptr);
+    catalog.Unpin(1);
+  }
+  // Each later key is used once. Without aging (plain LFU), key 1's six
+  // uses would outrank all of them forever; with L rising to every
+  // victim's H, the newcomers overtake it within a few evictions.
+  std::uint64_t key = 100;
+  for (; key < 120 && catalog.Contains(1); ++key) {
+    EXPECT_TRUE(catalog.Publish(key, Tiny(), 40));
+  }
+  EXPECT_FALSE(catalog.Contains(1));
+  EXPECT_LE(key, 110u);
+  EXPECT_TRUE(catalog.Contains(key - 1));
+}
+
+TEST(SharedCatalogTest, EvictTraceCarriesMissPriceAndFrequency) {
+  obs::TraceRecorder trace;
+  SharedCatalog catalog(100, 8, {}, WarehouseDisk());
+  catalog.SetTraceRecorder(&trace);
+  EXPECT_TRUE(catalog.Publish(1, Tiny(), 60, false, nullptr, 800'000));
+  ASSERT_NE(catalog.Pin(1), nullptr);
+  catalog.Unpin(1);
+  EXPECT_TRUE(catalog.Publish(2, Tiny(), 60));  // evicts 1
+  bool found = false;
+  for (const obs::TraceEvent& e : trace.Events()) {
+    if (e.name != "evict") continue;
+    found = true;
+    // 2 ms + 800 KB / 80 MB/s = 12 ms; one publish plus one pin.
+    EXPECT_NE(e.args_json.find("\"miss_s\":0.012000"), std::string::npos)
+        << e.args_json;
+    EXPECT_NE(e.args_json.find("\"freq\":2"), std::string::npos)
+        << e.args_json;
+  }
+  EXPECT_TRUE(found);
+}
+
+// Replays one recorded tenant_mix access sequence (tests/data) through
+// the shared catalog and through the paper's LRU baseline at the same
+// budget. A lookup hit saves one read of the entry's stored bytes; the
+// GDSF policy must save at least as many device seconds as LRU.
+TEST(SharedCatalogTest, ReplayedTenantMixTraceSavesMoreDeviceTimeThanLru) {
+  std::ifstream in(std::string(SC_TEST_DATA_DIR) +
+                   "/tenant_mix_shared_trace.txt");
+  ASSERT_TRUE(in.good());
+  struct Event {
+    bool publish = false;
+    std::uint64_t key = 0;
+    std::int64_t bytes = 0;
+    std::int64_t disk_bytes = 0;
+  };
+  std::vector<Event> events;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    char op = 0;
+    Event e;
+    fields >> op >> e.key;
+    e.publish = op == 'P';
+    if (e.publish) fields >> e.bytes >> e.disk_bytes;
+    events.push_back(e);
+  }
+  ASSERT_EQ(events.size(), 3000u);
+
+  const DiskProfile disk = WarehouseDisk();
+  constexpr std::int64_t kBudget = 4LL << 20;
+  std::map<std::uint64_t, double> miss_s;  // per key, from its publish
+  double lru_saved = 0.0;
+  double gdsf_saved = 0.0;
+  sim::LruCache lru(kBudget);
+  SharedCatalog gdsf(kBudget, 8, {}, disk);
+  for (const Event& e : events) {
+    if (e.publish) {
+      miss_s[e.key] = disk.latency + static_cast<double>(e.disk_bytes) /
+                                         disk.read_bw;
+      lru.Insert(static_cast<std::int64_t>(e.key), e.bytes);
+      gdsf.Publish(e.key, Tiny(), e.bytes, true, nullptr, e.disk_bytes);
+      continue;
+    }
+    if (lru.Lookup(static_cast<std::int64_t>(e.key))) {
+      lru_saved += miss_s.at(e.key);
+    }
+    if (gdsf.Pin(e.key) != nullptr) {
+      gdsf_saved += miss_s.at(e.key);
+      gdsf.Unpin(e.key);
+    }
+    ASSERT_LE(gdsf.used_bytes(), kBudget);
+  }
+  EXPECT_GT(lru_saved, 0.0);
+  EXPECT_GE(gdsf_saved, lru_saved);
+  std::cout << "replayed " << events.size() << " accesses: LRU saved "
+            << lru_saved << " s, GDSF saved " << gdsf_saved << " s\n";
 }
 
 TEST(SharedCatalogTest, PinnedEntriesNeverEvicted) {
@@ -156,8 +321,10 @@ TEST(SharedCatalogTest, ConcurrentPublishPinEvictStress) {
       for (int i = 0; i < kIters; ++i) {
         // Churn: shared keyspace across threads, sized to force
         // eviction pressure against the 1000-byte budget.
+        // Mixed miss prices spread the priorities the eviction orders.
         const std::uint64_t key = static_cast<std::uint64_t>(i % 40);
-        catalog.Publish(key, Tiny(), 90);
+        catalog.Publish(key, Tiny(), 90, false, nullptr,
+                        static_cast<std::int64_t>(key % 7) * 100'000);
         if (engine::TablePtr table = catalog.Pin(key)) {
           catalog.Unpin(key);
         }

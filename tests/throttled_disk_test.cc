@@ -269,6 +269,34 @@ TEST(ThrottledDiskTest, OutOfBandChangeIsRepairedByIdenticalWrite) {
   }
 }
 
+TEST(ThrottledDiskTest, VersionMovesOnlyWhenTheFileChanges) {
+  ThrottledDisk disk(FreshRoot("version"), FastProfile());
+  EXPECT_EQ(disk.Version("t").key, 0u);  // absent
+  EXPECT_EQ(disk.Version("t").bytes, -1);
+  disk.WriteTable("t", Ints({1, 2, 3}));
+  const ThrottledDisk::FileVersion landed = disk.Version("t");
+  EXPECT_NE(landed.key, 0u);
+  EXPECT_EQ(landed.bytes, disk.FileSize("t"));
+  // A skipped identical write leaves the file, and so the version, alone.
+  EXPECT_TRUE(WriteSkipped(&disk, "t", Ints({1, 2, 3})));
+  EXPECT_EQ(disk.Version("t").key, landed.key);
+  // Reads are uncharged by the version and do not move it.
+  disk.ReadTable("t");
+  EXPECT_EQ(disk.Version("t").key, landed.key);
+  // Same size, different bytes: a fresh file lands under a new version.
+  EXPECT_FALSE(WriteSkipped(&disk, "t", Ints({1, 2, 4})));
+  EXPECT_EQ(disk.Version("t").bytes, landed.bytes);
+  EXPECT_NE(disk.Version("t").key, landed.key);
+  // So does an in-place change behind the disk's back.
+  const ThrottledDisk::FileVersion rewritten = disk.Version("t");
+  fault::CorruptFile(disk.root_dir() + "/t.sct",
+                     {fault::CorruptKind::kBitFlip, 0.5, 0.25});
+  EXPECT_NE(disk.Version("t").key, rewritten.key);
+  // The name is part of the version.
+  disk.WriteTable("u", Ints({1, 2, 3}));
+  EXPECT_NE(disk.Version("u").key, landed.key);
+}
+
 TEST(ThrottledDiskTest, WriteThroughSecondDiskIsNotSkippedOver) {
   const std::string root = FreshRoot("two_disks");
   ThrottledDisk first(root, FastProfile());
