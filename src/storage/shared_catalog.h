@@ -135,10 +135,11 @@ class SharedCatalog {
   /// the entry's own size exceed the budget) or `size` is negative.
   /// Publishing an existing key counts one more use toward its frequency
   /// and returns true — content keys are immutable, so the first
-  /// publisher's table stands (`durable` still upgrades). `durable` records whether the content
-  /// already sits on external storage; publishers whose write is still
-  /// in flight pass false and MarkDurable() once it lands, so readers
-  /// know when skipping their own write is safe.
+  /// publisher's table stands (`durable` still upgrades). `durable`
+  /// records whether the content already sits on external storage;
+  /// publishers whose write is still in flight pass false and
+  /// MarkDurable() once it lands, so readers know when skipping their own
+  /// write is safe.
   /// `stamp` (optional) receives a unique per-insert publish stamp; a
   /// refresh of an existing key returns the standing entry's stamp. The
   /// stamp is the publisher's claim ticket for Invalidate(): it lets a
@@ -154,11 +155,12 @@ class SharedCatalog {
 
   /// Returns the table for `key` and takes a pin reference (entry
   /// becomes unevictable until the matching Unpin, and counts one more
-  /// use toward its frequency), or nullptr on a miss. `size` (optional) receives the entry's accounted bytes on a
-  /// hit, `durable` (optional) whether the content is known to be on
-  /// external storage. Counts a hit or miss unless `count` is false —
-  /// speculative probes (dispatch-time input pinning) must not distort
-  /// the layer's hit-rate monitoring.
+  /// use toward its frequency), or nullptr on a miss. `size` (optional)
+  /// receives the entry's accounted bytes on a hit, `durable` (optional)
+  /// whether the content is known to be on external storage. Counts a
+  /// hit or miss unless `count` is false — speculative probes
+  /// (dispatch-time input pinning) must not distort the layer's hit-rate
+  /// monitoring.
   engine::TablePtr Pin(std::uint64_t key, std::int64_t* size = nullptr,
                        bool count = true, bool* durable = nullptr);
 

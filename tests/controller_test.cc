@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "engine/executor.h"
+#include "fault/fault.h"
 
 #include "opt/optimizer.h"
 #include "runtime/controller.h"
@@ -462,6 +463,34 @@ TEST(ControllerTest, SharedLayerReadsABaseTableOnceAcrossJobs) {
     EXPECT_TRUE(disk.ReadTable(name) == reference_disk.ReadTable(name))
         << name;
   }
+}
+
+TEST(ControllerTest, CorruptBaseTableIsNeverShared) {
+  // A damaged base-table file fails its verified read before the shared
+  // layer could take it, so no job is ever served it. Repaired, its next
+  // read is shared again, under the new file's version.
+  const auto data = TinyData();
+  const workload::MvWorkload wl = TinyWorkload();
+  storage::ThrottledDisk disk(FreshDir("corrupt_shared"), FastDisk());
+  storage::SharedCatalog shared(64LL << 20, 8, {}, disk.profile());
+  ControllerOptions options;
+  options.shared_catalog = &shared;
+  Controller controller(&disk, options);
+  controller.LoadBaseTables(data);
+  fault::CorruptFile(disk.root_dir() + "/item.sct",
+                     {fault::CorruptKind::kBitFlip, 0.5, 0.25});
+  const std::uint64_t damaged = ContentKeysFor(wl, disk).base.at("item").key;
+  EXPECT_FALSE(controller.RunUnoptimized(wl).ok);
+  EXPECT_FALSE(shared.Contains(damaged));
+  EXPECT_EQ(shared.pinned_bytes(), 0);
+
+  controller.LoadBaseTables({{"item", data.at("item")}});
+  const std::uint64_t repaired = ContentKeysFor(wl, disk).base.at("item").key;
+  EXPECT_NE(repaired, damaged);
+  const RunReport report = controller.RunUnoptimized(wl);
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_TRUE(shared.Contains(repaired));
+  EXPECT_EQ(disk.read_count("item"), 1);
 }
 
 }  // namespace
